@@ -25,10 +25,6 @@ def _succ(x):
     return x + 1
 
 
-def _collect(n, source):
-    return list(core.take(n, source))
-
-
 # --- demo --------------------------------------------------------------
 
 

@@ -102,48 +102,68 @@ class _Buffer:
 
     def get(self, i):
         """Element at index i, or None past the end of a finite stream."""
-        while self.length is None and len(self.items) <= i:
+        items = self.items
+        while i >= len(items):
+            if self.length is not None:
+                return None
             x = self.source.ask()
             if x is None:
-                self.length = len(self.items)
-                break
-            self.items.append(x)
-        if self.length is not None and i >= self.length:
-            return None
-        return self.items[i]
+                self.length = len(items)
+                return None
+            items.append(x)
+        return items[i]
+
+
+def _span(d, b1, b2):
+    """Range [lo, hi] of g1 indices i on diagonal d whose pair
+    (i, d-i) lies within both inputs' known lengths."""
+    lo = 0 if b2.length is None else max(0, d - b2.length + 1)
+    hi = d if b1.length is None else min(d, b1.length - 1)
+    return lo, hi
+
+
+def _diagonals(g1, g2, descending):
+    """Pairs (g1[i], g2[d-i]) anti-diagonal by anti-diagonal, d = 0, 1,
+    ...; within a diagonal i ascends, or descends if ``descending``.
+
+    Known lengths clamp i, so indices past a finite input's end are never
+    visited, and a lookup that runs an input out re-clamps at once.  The
+    stream ends at the first empty diagonal: with lengths n1 and n2 that
+    is diagonal n1+n2-1, and at once if either is empty.
+    """
+    b1, b2 = _Buffer(g1), _Buffer(g2)
+    step = -1 if descending else 1
+    try:
+        d = 0
+        while True:
+            lo, hi = _span(d, b1, b2)
+            if lo > hi:
+                return
+            i = hi if descending else lo
+            while lo <= i <= hi:
+                x = b1.get(i)
+                y = None if x is None else b2.get(d - i)
+                if y is None:
+                    # an input just ran out, which moved a bound past i
+                    lo, hi = _span(d, b1, b2)
+                    i = min(i, hi) if descending else max(i, lo)
+                    continue
+                yield Pair(x, y)
+                i += step
+            d += 1
+    finally:
+        g1.stop()
+        g2.stop()
 
 
 def convolution(g1, g2):
     """All pairs of two streams, enumerated anti-diagonal by
-    anti-diagonal: diagonal d emits (g1[i], g2[d-i]) for ascending i."""
-    b1, b2 = _Buffer(g1), _Buffer(g2)
+    anti-diagonal: diagonal d emits (g1[i], g2[d-i]) for ascending i.
 
-    def produce():
-        try:
-            d = 0
-            while True:
-                if b1.length == 0 or b2.length == 0:
-                    return
-                if (
-                    b1.length is not None
-                    and b2.length is not None
-                    and d > b1.length + b2.length - 2
-                ):
-                    return
-                for i in range(d + 1):
-                    x = b1.get(i)
-                    if x is None:
-                        break
-                    y = b2.get(d - i)
-                    if y is None:
-                        continue
-                    yield Pair(x, y)
-                d += 1
-        finally:
-            g1.stop()
-            g2.stop()
-
-    return answer_source(produce)
+    Indices past a finite input's end are never visited, so a finite
+    side costs O(1) per pair and the output is linear-time.
+    """
+    return answer_source(lambda: _diagonals(g1, g2, False))
 
 
 def cantor_pair(x, y):
@@ -160,38 +180,14 @@ def cantor_unpair(n):
 
 
 def product_cantor(g1, g2):
-    """All pairs of two streams, driven by a single counter split with
-    Cantor unpairing; indices past a finite input's end are skipped."""
-    b1, b2 = _Buffer(g1), _Buffer(g2)
+    """All pairs of two streams in Cantor order: the n-th index pair is
+    ``cantor_unpair(n)``, skipping those past a finite input's end.  That
+    is diagonal d = 0, 1, ... emitting (g1[i], g2[d-i]) for descending i.
 
-    def produce():
-        try:
-            n = 0
-            emitted = 0
-            while True:
-                if b1.length == 0 or b2.length == 0:
-                    return
-                if (
-                    b1.length is not None
-                    and b2.length is not None
-                    and emitted >= b1.length * b2.length
-                ):
-                    return
-                x_i, y_i = cantor_unpair(n)
-                n += 1
-                x = b1.get(x_i)
-                if x is None:
-                    continue
-                y = b2.get(y_i)
-                if y is None:
-                    continue
-                yield Pair(x, y)
-                emitted += 1
-        finally:
-            g1.stop()
-            g2.stop()
-
-    return answer_source(produce)
+    Skipped indices are never visited, so a finite side costs O(1) per
+    pair and the output is linear-time.
+    """
+    return answer_source(lambda: _diagonals(g1, g2, True))
 
 
 def map1(f, source):

@@ -5,7 +5,9 @@ iterator (typically a generator function).  The producer runs only
 while an ``Engine.next`` call is in flight; each value it yields is
 handed to exactly one ``next`` call.  Stopping an engine closes the
 underlying iterator, which runs the producer's cleanup (``finally``
-blocks) even mid-stream.
+blocks) even mid-stream.  A producer may stop its own engine while it
+runs: the ``next`` call in flight then returns ``None`` and the iterator
+is closed once control has left it.
 """
 
 from .core import Source
@@ -23,6 +25,7 @@ __all__ = [
 ]
 
 FRESH = "fresh"
+RUNNING = "running"
 SUSPENDED = "suspended"
 COMPLETED = "completed"
 STOPPED = "stopped"
@@ -31,10 +34,10 @@ STOPPED = "stopped"
 class Engine:
     """A producer stepped one answer at a time.
 
-    States: fresh (producer not started), suspended (mid-stream),
-    completed (returned or raised), stopped (cancelled early).
-    ``next`` on a completed or stopped engine returns ``None`` without
-    resuming the producer.
+    States: fresh (producer not started), running (inside ``next``),
+    suspended (mid-stream), completed (returned or raised), stopped
+    (cancelled early).  ``next`` on a completed or stopped engine returns
+    ``None`` without resuming the producer.
     """
 
     __slots__ = ("_producer", "_it", "status")
@@ -50,34 +53,47 @@ class Engine:
         engine and propagates to the caller."""
         if self.status in (COMPLETED, STOPPED):
             return None
-        if self._it is None:
-            self._it = iter(self._producer())
+        it = self._it
+        if it is None:
+            it = self._it = iter(self._producer())
+        self.status = RUNNING
         try:
-            value = next(self._it)
+            value = next(it)
         except StopIteration:
             self._finish(COMPLETED)
             return None
         except BaseException:
             self._finish(COMPLETED)
             raise
+        if self.status is STOPPED:  # the producer stopped its own engine
+            _close(it)
+            return None
         self.status = SUSPENDED
         return value
 
     def stop(self):
-        """Cancel the engine, running the producer's cleanup. Idempotent."""
+        """Cancel the engine, running the producer's cleanup. Idempotent.
+        Called from inside the running producer, it defers the cleanup
+        until the producer next yields or returns."""
         if self.status in (COMPLETED, STOPPED):
             return
         it = self._it
+        running = self.status is RUNNING
         self._finish(STOPPED)
-        if it is not None:
-            close = getattr(it, "close", None)
-            if close is not None:
-                close()
+        if it is not None and not running:
+            _close(it)
 
     def _finish(self, status):
-        self.status = status
+        if self.status is not STOPPED:
+            self.status = status
         self._it = None
         self._producer = None
+
+
+def _close(it):
+    close = getattr(it, "close", None)
+    if close is not None:
+        close()
 
 
 def engine_create(producer):

@@ -8,6 +8,7 @@ input, or an already-open text file object.
 """
 
 import sys
+from collections import deque
 
 from .core import Source
 
@@ -39,7 +40,7 @@ def token_reader(source):
     become ints, anything else a raw-text symbol."""
     handle, owns = _open(source)
     close = _closer(handle, owns)
-    pending = []
+    pending = deque()
 
     def step():
         while not pending:
@@ -48,7 +49,7 @@ def token_reader(source):
                 close()
                 return None
             pending.extend(line.split())
-        text = pending.pop(0)
+        text = pending.popleft()
         try:
             return int(text)
         except ValueError:

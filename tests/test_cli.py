@@ -1,5 +1,10 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import streamgen
 from streamgen.cli import main
 
 
@@ -99,3 +104,15 @@ def test_bench_map_chain_and_prod_prefix_agree():
 def test_bench_rejects_bad_size(capsys):
     code, _ = run(["bench", "--n", "0"])
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(streamgen.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamgen", "eval", "1:3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[1, 2]\n"

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import prefix
+from streamgen import combinators
 from streamgen import (
     Pair,
     cantor_pair,
@@ -165,6 +166,25 @@ def test_cantor_exact_at_huge_inputs():
     for n in [2**62, 2**62 - 1, 2**62 + 1, (1 << 62) + 12345]:
         x, y = cantor_unpair(n)
         assert cantor_pair(x, y) == n
+
+
+@pytest.mark.parametrize("make", [convolution, product_cantor])
+@pytest.mark.parametrize("finite_left", [False, True])
+def test_finite_side_costs_constant_lookups_per_pair(monkeypatch, make, finite_left):
+    lookups = [0]
+    get = combinators._Buffer.get
+
+    def counted_get(buffer, i):
+        lookups[0] += 1
+        return get(buffer, i)
+
+    monkeypatch.setattr(combinators._Buffer, "get", counted_get)
+    n = 5000
+    abc = from_list(["a", "b", "c"])
+    g = make(abc, positives()) if finite_left else make(positives(), abc)
+    assert len(prefix(n, g)) == n
+    # two lookups per emitted pair, plus the one miss that finds [a,b,c]'s end
+    assert lookups[0] <= 2 * n + 2
 
 
 def test_product_cantor_position_of_pair():

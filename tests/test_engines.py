@@ -101,6 +101,61 @@ def test_stop_fresh_engine_never_starts_producer():
     assert started == []
 
 
+def test_stop_from_inside_own_producer():
+    events = []
+
+    def produce():
+        try:
+            yield 1
+            g.stop()
+            events.append("after stop")
+            yield 2
+            events.append("resumed")
+        finally:
+            events.append("cleanup")
+
+    g = answer_source(produce)
+    assert g.ask() == 1
+    assert g.ask() is None  # the in-flight ask
+    assert events == ["after stop", "cleanup"]
+    assert g.is_done()
+    assert g.ask() is None
+    g.stop()
+    assert events == ["after stop", "cleanup"]
+
+
+def test_engine_stopped_by_its_producer_stays_stopped():
+    cleanups = []
+
+    def produce():
+        try:
+            e.stop()
+            yield 1
+        finally:
+            cleanups.append(True)
+
+    e = Engine(produce)
+    assert e.next() is None
+    assert e.status == "stopped"
+    assert cleanups == [True]
+    e.stop()
+    assert e.next() is None
+    assert cleanups == [True]
+
+    def produce_and_return():
+        try:
+            e.stop()
+            return
+            yield
+        finally:
+            cleanups.append(True)
+
+    e = Engine(produce_and_return)
+    assert e.next() is None
+    assert e.status == "stopped"
+    assert cleanups == [True, True]
+
+
 def test_answer_source_basics():
     assert prefix(3, answer_source(and_nats())) == [0, 1, 2]
     assert prefix(3, answer_source(or_nats())) == [0, 1, 2]

@@ -34,6 +34,14 @@ def test_token_reader_mixed_tokens(tmp_path):
     assert g.is_done()
 
 
+def test_token_reader_long_line_roundtrip():
+    tokens = [i if i % 3 else "s%d" % i for i in range(100_000)]
+    f = CountingFile(" ".join(map(str, tokens)) + "\n")
+    g = token_reader(f)
+    assert list(g) == tokens
+    assert f.close_calls == 1
+
+
 def test_token_reader_empty_file_closes():
     f = CountingFile("")
     g = token_reader(f)

@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws and protocol invariants."""
 
+import itertools
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -8,14 +9,18 @@ from conftest import CountedSteps, prefix
 from streamgen import (
     Engine,
     Pair,
+    cantor_unpair,
+    convolution,
     from_list,
     drop,
     gen2lazy,
+    int_range,
     lazy2gen,
     lazy_list,
     lazy_take,
     naturals,
     product,
+    product_cantor,
     reduce_stream,
     scan,
     setify,
@@ -86,6 +91,66 @@ def test_product_multiset_vs_bruteforce(xs, ys):
     out = list(product(from_list(xs), from_list(ys)))
     expected = [Pair(x, y) for x in xs for y in ys]
     assert multiset(out) == multiset(expected)
+
+
+lengths = st.one_of(st.none(), st.integers(0, 12))  # None: infinite
+
+
+def index_stream(n):
+    return naturals() if n is None else int_range(0, n)
+
+
+def documented_order(make, n1, n2, k):
+    """The first k index pairs of a product of inputs of lengths n1 and
+    n2 (None: infinite), from the order its docstring states."""
+    if make is convolution:
+        order = ((i, d - i) for d in itertools.count() for i in range(d + 1))
+    else:
+        order = map(cantor_unpair, itertools.count())
+    inside = (
+        (i, j) for i, j in order
+        if (n1 is None or i < n1) and (n2 is None or j < n2)
+    )
+    if 0 in (n1, n2):
+        k = 0
+    elif n1 is not None and n2 is not None:
+        k = min(k, n1 * n2)
+    return list(itertools.islice(inside, k))
+
+
+class AskCounter:
+    """Forwards to a source, counting the asks it receives."""
+
+    def __init__(self, source):
+        self.source = source
+        self.asks = 0
+
+    def ask(self):
+        self.asks += 1
+        return self.source.ask()
+
+    def stop(self):
+        self.source.stop()
+
+
+@given(st.sampled_from([convolution, product_cantor]), lengths, lengths,
+       st.integers(0, 200))
+def test_diagonal_products_follow_documented_order(make, n1, n2, k):
+    out = prefix(k, make(index_stream(n1), index_stream(n2)))
+    assert [(p.left, p.right) for p in out] == documented_order(make, n1, n2, k)
+
+
+@given(st.sampled_from([convolution, product_cantor]), lengths, lengths,
+       st.integers(0, 200))
+def test_diagonal_products_ask_at_most_diagonal_plus_one(make, n1, n2, k):
+    c1, c2 = AskCounter(index_stream(n1)), AskCounter(index_stream(n2))
+    g = make(c1, c2)
+    for _ in range(k):
+        p = g.ask()
+        if p is None:
+            break
+        d = p.left + p.right
+        assert c1.asks <= d + 1 and c2.asks <= d + 1
 
 
 @given(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4),
