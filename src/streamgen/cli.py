@@ -230,10 +230,14 @@ def main(argv=None, out=None):
             source = lang.eval_expr(
                 lang.parse_text(args.expr), lang.default_env(args.seed)
             )
+            shown = core.show(args.take, source)
         except (lang.LexError, lang.ParseError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        print(core.show(args.take, source), file=out)
+        except RecursionError:
+            print("error: expression nested too deeply", file=sys.stderr)
+            return 2
+        print(shown, file=out)
         return 0
     if args.subcommand == "demo":
         return _run_demo(out)

@@ -2,15 +2,19 @@
 (alternating, anti-diagonal, Cantor-indexed), map, constant-space
 reduce, scan and online deduplication.
 
+Each combinator returns a source that owns its inputs, so stopping it
+stops them all, also before its first ask.  Its iterator is built from
+theirs: ``map``, ``functools.reduce`` or a generator function.
+
 Every pair-producing combinator keeps the first input's element on the
 left of each output pair, and every one is fair: on infinite inputs any
 fixed pair appears after finitely many outputs.
 """
 
 import math
+from functools import reduce
 
-from .core import Source
-from .engines import answer_source
+from .core import _own, _source
 from .values import Pair, value_key
 
 __all__ = [
@@ -28,24 +32,51 @@ __all__ = [
 ]
 
 
+def _binary(make, g1, g2, *args):
+    """A source owning ``g1`` and ``g2`` over ``make(their iterators, *args)``."""
+    g1, g2 = _own(g1), _own(g2)
+    return _source(make(g1._it, g2._it, *args), (g1, g2))
+
+
+def _interleave(a, b):
+    x = next(a, None)
+    while x is not None:
+        yield x
+        a, b = b, a
+        x = next(a, None)
+    yield from b
+
+
 def sum_streams(g1, g2):
     """Interleave two streams, alternating while both produce; after one
     ends, the survivor supplies the rest.  The empty stream is the
     neutral element."""
-    state = [g1, g2]
+    return _binary(_interleave, g1, g2)
 
-    def step():
-        x = state[0].ask()
-        if x is not None:
-            state[0], state[1] = state[1], state[0]
-            return x
-        return state[1].ask()
 
-    def cleanup():
-        g1.stop()
-        g2.stop()
-
-    return Source(step, cleanup=cleanup)
+def _alternating(g1, g2):
+    a = next(g1, None)
+    if a is None:
+        return
+    first_active = True  # does the active side feed the left pair slot?
+    active, passive = g1, g2
+    active_seen, passive_seen = [], []
+    while True:
+        for y in passive_seen:
+            yield Pair(a, y) if first_active else Pair(y, a)
+        b = next(passive, None)
+        if b is None:
+            break
+        active_seen.insert(0, a)
+        active, passive = passive, active
+        active_seen, passive_seen = passive_seen, active_seen
+        a = b
+        first_active = not first_active
+    if not passive_seen:  # the passive side is empty: no pairs at all
+        return
+    for x in active:
+        for y in passive_seen:
+            yield Pair(x, y) if first_active else Pair(y, x)
 
 
 def product(g1, g2):
@@ -57,47 +88,17 @@ def product(g1, g2):
     the ended side's full history.  The g1 element is always on the left
     of the pair.
     """
-
-    def produce():
-        try:
-            a = g1.ask()
-            if a is None:
-                return
-            first_active = True  # does the active side feed the left pair slot?
-            active, passive = g1, g2
-            active_seen, passive_seen = [], []
-            while True:
-                for y in passive_seen:
-                    yield Pair(a, y) if first_active else Pair(y, a)
-                b = passive.ask()
-                if b is None:
-                    break
-                active_seen.insert(0, a)
-                active, passive = passive, active
-                active_seen, passive_seen = passive_seen, active_seen
-                a = b
-                first_active = not first_active
-            while True:
-                x = active.ask()
-                if x is None:
-                    return
-                for y in passive_seen:
-                    yield Pair(x, y) if first_active else Pair(y, x)
-        finally:
-            g1.stop()
-            g2.stop()
-
-    return answer_source(produce)
+    return _binary(_alternating, g1, g2)
 
 
 class _Buffer:
-    """Growable prefix of a stream; remembers the length once exhausted."""
+    """Growable prefix of an iterator, with its length once exhausted."""
 
-    __slots__ = ("items", "source", "length")
+    __slots__ = ("items", "it", "length")
 
-    def __init__(self, source):
+    def __init__(self, it):
         self.items = []
-        self.source = source
+        self.it = it
         self.length = None
 
     def get(self, i):
@@ -106,7 +107,7 @@ class _Buffer:
         while i >= len(items):
             if self.length is not None:
                 return None
-            x = self.source.ask()
+            x = next(self.it, None)
             if x is None:
                 self.length = len(items)
                 return None
@@ -123,8 +124,9 @@ def _span(d, b1, b2):
 
 
 def _diagonals(g1, g2, descending):
-    """Pairs (g1[i], g2[d-i]) anti-diagonal by anti-diagonal, d = 0, 1,
-    ...; within a diagonal i ascends, or descends if ``descending``.
+    """Pairs (g1[i], g2[d-i]) of two iterators, anti-diagonal by
+    anti-diagonal, d = 0, 1, ...; within a diagonal i ascends, or
+    descends if ``descending``.
 
     Known lengths clamp i, so indices past a finite input's end are never
     visited, and a lookup that runs an input out re-clamps at once.  The
@@ -133,27 +135,23 @@ def _diagonals(g1, g2, descending):
     """
     b1, b2 = _Buffer(g1), _Buffer(g2)
     step = -1 if descending else 1
-    try:
-        d = 0
-        while True:
-            lo, hi = _span(d, b1, b2)
-            if lo > hi:
-                return
-            i = hi if descending else lo
-            while lo <= i <= hi:
-                x = b1.get(i)
-                y = None if x is None else b2.get(d - i)
-                if y is None:
-                    # an input just ran out, which moved a bound past i
-                    lo, hi = _span(d, b1, b2)
-                    i = min(i, hi) if descending else max(i, lo)
-                    continue
-                yield Pair(x, y)
-                i += step
-            d += 1
-    finally:
-        g1.stop()
-        g2.stop()
+    d = 0
+    while True:
+        lo, hi = _span(d, b1, b2)
+        if lo > hi:
+            return
+        i = hi if descending else lo
+        while lo <= i <= hi:
+            x = b1.get(i)
+            y = None if x is None else b2.get(d - i)
+            if y is None:
+                # an input just ran out, which moved a bound past i
+                lo, hi = _span(d, b1, b2)
+                i = min(i, hi) if descending else max(i, lo)
+                continue
+            yield Pair(x, y)
+            i += step
+        d += 1
 
 
 def convolution(g1, g2):
@@ -163,7 +161,7 @@ def convolution(g1, g2):
     Indices past a finite input's end are never visited, so a finite
     side costs O(1) per pair and the output is linear-time.
     """
-    return answer_source(lambda: _diagonals(g1, g2, False))
+    return _binary(_diagonals, g1, g2, False)
 
 
 def cantor_pair(x, y):
@@ -187,39 +185,31 @@ def product_cantor(g1, g2):
     Skipped indices are never visited, so a finite side costs O(1) per
     pair and the output is linear-time.
     """
-    return answer_source(lambda: _diagonals(g1, g2, True))
+    return _binary(_diagonals, g1, g2, True)
+
+
+def _until_none(it):
+    """``it`` ending at its first ``None``."""
+    return iter(it.__next__, None)
 
 
 def map1(f, source):
     """Apply ``f`` to each element, lazily; ``f`` returning ``None``
     ends the stream."""
-
-    def step():
-        x = source.ask()
-        if x is None:
-            return None
-        return f(x)
-
-    return Source(step, cleanup=source.stop)
+    source = _own(source)
+    return _source(_until_none(map(f, source._it)), (source,))
 
 
 def map2(f, g1, g2):
     """Apply ``f`` pairwise to two streams; ends at the shorter input."""
+    g1, g2 = _own(g1), _own(g2)
+    return _source(_until_none(map(f, g1._it, g2._it)), (g1, g2))
 
-    def step():
-        x = g1.ask()
-        if x is None:
-            return None
-        y = g2.ask()
-        if y is None:
-            return None
-        return f(x, y)
 
-    def cleanup():
-        g1.stop()
-        g2.stop()
-
-    return Source(step, cleanup=cleanup)
+def _fold(f, init, it):
+    acc = reduce(f, it, init)
+    if acc is not None:
+        yield acc
 
 
 def reduce_stream(f, init, source):
@@ -227,50 +217,36 @@ def reduce_stream(f, init, source):
     ``source`` starting from ``init``; the fold runs in constant
     auxiliary space on the first ask.  An empty source folds to ``init``
     itself."""
-    done = [False]
+    source = _own(source)
+    return _source(_fold(f, init, source._it), (source,))
 
-    def step():
-        if done[0]:
-            return None
-        done[0] = True
-        acc = init
-        while True:
-            x = source.ask()
-            if x is None:
-                return acc
-            acc = f(acc, x)
 
-    return Source(step, cleanup=source.stop)
+def _running(f, acc, it):
+    for x in it:
+        acc = f(acc, x)
+        if acc is None:
+            return
+        yield acc
 
 
 def scan(f, init, source):
     """Running fold: yields f(init, x1), then f(that, x2), ...; same
     length as the input, meaningful on infinite streams."""
-    acc = [init]
+    source = _own(source)
+    return _source(_running(f, init, source._it), (source,))
 
-    def step():
-        x = source.ask()
-        if x is None:
-            return None
-        acc[0] = f(acc[0], x)
-        return acc[0]
 
-    return Source(step, cleanup=source.stop)
+def _dedupe(it):
+    seen = set()
+    for x in it:
+        k = value_key(x)
+        if k not in seen:
+            seen.add(k)
+            yield x
 
 
 def setify(source):
     """Drop duplicates online, keeping first occurrences in order; works
     on infinite streams within memory limits."""
-    seen = set()
-
-    def step():
-        while True:
-            x = source.ask()
-            if x is None:
-                return None
-            k = value_key(x)
-            if k not in seen:
-                seen.add(k)
-                return x
-
-    return Source(step, cleanup=source.stop)
+    source = _own(source)
+    return _source(_dedupe(source._it), (source,))

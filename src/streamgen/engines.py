@@ -1,13 +1,13 @@
-"""Resumable producers ("engines") and answer-stream sources.
+"""Engines: resumable producers, which are answer-stream sources.
 
-An engine wraps a producer: a zero-argument callable returning an
-iterator (typically a generator function).  The producer runs only
-while an ``Engine.next`` call is in flight; each value it yields is
-handed to exactly one ``next`` call.  Stopping an engine closes the
-underlying iterator, which runs the producer's cleanup (``finally``
-blocks) even mid-stream.  A producer may stop its own engine while it
-runs: the ``next`` call in flight then returns ``None`` and the iterator
-is closed once control has left it.
+An engine is a :class:`~streamgen.core.Source` over the iterator that a
+producer (a zero-argument callable, typically a generator function)
+returns when the engine is made; ``next`` is ``ask``.  A generator runs
+only while an ask is in flight.  Stopping the engine closes the
+iterator, running the producer's ``finally`` blocks even mid-stream.
+A producer may stop its own engine: the pull in flight, an ask or an
+owner's, then ends with ``None`` and the iterator is closed once the
+producer has yielded.
 """
 
 from .core import Source
@@ -24,97 +24,32 @@ __all__ = [
     "or_nats",
 ]
 
-FRESH = "fresh"
-RUNNING = "running"
-SUSPENDED = "suspended"
-COMPLETED = "completed"
-STOPPED = "stopped"
 
+class Engine(Source):
+    """A producer stepped one answer at a time; an error raised inside
+    the producer ends the engine and propagates to the caller."""
 
-class Engine:
-    """A producer stepped one answer at a time.
-
-    States: fresh (producer not started), running (inside ``next``),
-    suspended (mid-stream), completed (returned or raised), stopped
-    (cancelled early).  ``next`` on a completed or stopped engine returns
-    ``None`` without resuming the producer.
-    """
-
-    __slots__ = ("_producer", "_it", "status")
+    __slots__ = ()
 
     def __init__(self, producer):
-        self._producer = producer
-        self._it = None
-        self.status = FRESH
+        it = iter(producer())
+        super().__init__(it.__next__, getattr(it, "close", None))
 
-    def next(self):
-        """Resume the producer to its next yield; ``None`` once it has
-        finished.  An error raised inside the producer terminates the
-        engine and propagates to the caller."""
-        if self.status in (COMPLETED, STOPPED):
-            return None
-        it = self._it
-        if it is None:
-            it = self._it = iter(self._producer())
-        self.status = RUNNING
-        try:
-            value = next(it)
-        except StopIteration:
-            self._finish(COMPLETED)
-            return None
-        except BaseException:
-            self._finish(COMPLETED)
-            raise
-        if self.status is STOPPED:  # the producer stopped its own engine
-            _close(it)
-            return None
-        self.status = SUSPENDED
-        return value
+    next = Source.ask
 
-    def stop(self):
-        """Cancel the engine, running the producer's cleanup. Idempotent.
-        Called from inside the running producer, it defers the cleanup
-        until the producer next yields or returns."""
-        if self.status in (COMPLETED, STOPPED):
-            return
-        it = self._it
-        running = self.status is RUNNING
-        self._finish(STOPPED)
-        if it is not None and not running:
-            _close(it)
-
-    def _finish(self, status):
-        if self.status is not STOPPED:
-            self.status = status
-        self._it = None
-        self._producer = None
+    @property
+    def status(self):
+        """``"stopped"`` once done (stopped or finished), else ``"suspended"``."""
+        return "stopped" if self.is_done() else "suspended"
 
 
-def _close(it):
-    close = getattr(it, "close", None)
-    if close is not None:
-        close()
+# The paper's engine API, and its answer-stream view: the same source.
+engine_create = answer_source = Engine
+engine_next = Engine.next
+engine_stop = Engine.stop
 
 
-def engine_create(producer):
-    return Engine(producer)
-
-
-def engine_next(engine):
-    return engine.next()
-
-
-def engine_stop(engine):
-    engine.stop()
-
-
-def answer_source(producer):
-    """Wrap a producer's yield sequence as a stream source."""
-    engine = Engine(producer)
-    return Source(engine.next, cleanup=engine.stop)
-
-
-class ClonableSource(Source):
+class ClonableSource(Engine):
     """An answer source that remembers its producer factory so fresh
     restarted copies can be made; only meaningful for side-effect-free
     producers."""
@@ -123,14 +58,10 @@ class ClonableSource(Source):
 
     def __init__(self, factory):
         self.factory = factory
-        engine = Engine(factory())
-        super().__init__(engine.next, cleanup=engine.stop)
+        super().__init__(factory())
 
 
-def clonable_source(factory):
-    """An answer source over ``factory()`` that supports
-    :func:`clone_source`."""
-    return ClonableSource(factory)
+clonable_source = ClonableSource
 
 
 def clone_source(source):

@@ -2,77 +2,64 @@
 lifecycle.
 
 The handle opens at construction, so unreadable paths fail early; it is
-closed exactly once, whether the stream is drained, stopped, or hits an
-I/O error mid-read.  Pass a filesystem path, ``"-"`` for standard
-input, or an already-open text file object.
+closed exactly once, whether the stream is drained, stopped (also before
+its first ask), or hits an I/O error mid-read.  Pass a filesystem path,
+``"-"`` for standard input, or an already-open text file object.
 """
 
 import sys
-from collections import deque
 
-from .core import Source
+from .core import _source
 
 __all__ = ["line_reader", "token_reader"]
 
 
 def _open(source):
+    """The handle to read and an idempotent function closing it (standard
+    input is never closed)."""
     if source == "-":
-        return sys.stdin, False
-    if hasattr(source, "read"):
-        return source, True
-    return open(source, "r"), True
-
-
-def _closer(handle, owns):
-    closed = [False]
+        source = sys.stdin
+    handle = source if hasattr(source, "read") else open(source, "r")
+    closed = [handle is sys.stdin]
 
     def close():
         if not closed[0]:
             closed[0] = True
-            if owns and handle is not sys.stdin:
-                handle.close()
+            handle.close()
 
-    return close
+    return handle, close
+
+
+def _tokens(handle, close):
+    for line in iter(handle.readline, ""):
+        for text in line.split():
+            try:
+                token = int(text)
+            except ValueError:
+                token = text
+            yield token
+    close()
 
 
 def token_reader(source):
     """Whitespace-delimited tokens from ``source``: decimal integers
     become ints, anything else a raw-text symbol."""
-    handle, owns = _open(source)
-    close = _closer(handle, owns)
-    pending = deque()
+    handle, close = _open(source)
+    return _source(_tokens(handle, close), cleanup=close)
 
-    def step():
-        while not pending:
-            line = handle.readline()
-            if not line:
-                close()
-                return None
-            pending.extend(line.split())
-        text = pending.popleft()
-        try:
-            return int(text)
-        except ValueError:
-            return text
 
-    return Source(step, cleanup=close)
+def _lines(handle, close):
+    for line in iter(handle.readline, ""):
+        if line.endswith("\n"):
+            line = line[:-1]
+            if line.endswith("\r"):
+                line = line[:-1]
+        yield line
+    close()
 
 
 def line_reader(source):
     """One symbol per line of ``source``, newline stripped (CR before LF
     too); a final unterminated line is still yielded."""
-    handle, owns = _open(source)
-    close = _closer(handle, owns)
-
-    def step():
-        line = handle.readline()
-        if not line:
-            close()
-            return None
-        if line.endswith("\n"):
-            line = line[:-1]
-            if line.endswith("\r"):
-                line = line[:-1]
-        return line
-
-    return Source(step, cleanup=close)
+    handle, close = _open(source)
+    return _source(_lines(handle, close), cleanup=close)

@@ -72,11 +72,16 @@ class LazyList:
         return self.force() is None
 
     def __iter__(self):
-        cell = self.force()
-        while cell is not None:
-            value, rest = cell
-            yield value
-            cell = rest.force()
+        return _cells(self)
+
+
+def _cells(lst):
+    """The values of ``lst``, holding no cell behind the current one."""
+    cell = lst.force()
+    while cell is not None:
+        value, lst = cell
+        yield value
+        cell = lst.force()
 
 
 def lazy_list(step, init):
@@ -126,16 +131,7 @@ def gen2lazy(source):
 
 def lazy2gen(lst):
     """View a lazy list as a source, forcing cells on ask."""
-    state = [lst]
-
-    def step():
-        cell = state[0].force()
-        if cell is None:
-            return None
-        value, state[0] = cell
-        return value
-
-    return core.Source(step)
+    return core._source(combinators._until_none(_cells(lst)))
 
 
 def transport1(op, a, src=lazy2gen, dst=gen2lazy):

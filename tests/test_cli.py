@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import streamgen
 from streamgen.cli import main
 
@@ -116,3 +118,19 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[1, 2]\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 5000 + "nat" + ")" * 5000,
+        "+".join(["1"] * 5000),
+        "*".join(["1"] * 3000),
+    ],
+    ids=["parens-5000", "sum-5000", "product-3000"],
+)
+def test_eval_too_deep_exits_2(capsys, text):
+    code, out = run(["eval", text, "--take", "3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
