@@ -7,6 +7,7 @@ flag (generator path more than 2x slower than the lazy-list path).
 """
 
 import argparse
+import functools
 import sys
 import time
 import tracemalloc
@@ -188,6 +189,7 @@ def _run_bench(op, n, impl, out):
 # --- argument handling -------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="streamgen",

@@ -14,7 +14,7 @@ fixed pair appears after finitely many outputs.
 import math
 from functools import reduce
 
-from .core import _own, _source
+from .core import _END, _own, _source
 from .values import Pair, value_key
 
 __all__ = [
@@ -39,11 +39,10 @@ def _binary(make, g1, g2, *args):
 
 
 def _interleave(a, b):
-    x = next(a, None)
-    while x is not None:
+    end = _END
+    while (x := next(a, end)) is not end:
         yield x
         a, b = b, a
-        x = next(a, None)
     yield from b
 
 

@@ -47,6 +47,7 @@ __all__ = [
 _MAX_NESTING = 1000
 
 _DONE = iter(())  # the iterator of every finished source
+_END = object()  # the end of an iterator that may yield None (a lazy list's)
 
 
 class Source:

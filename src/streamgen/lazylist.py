@@ -1,15 +1,21 @@
 """Memoized, possibly infinite cons-lists and their isomorphism with
 stream sources.
 
-A :class:`LazyList` cell starts out unforced, holding a suspended
-``step(state) -> (new_state, value) | None``.  Forcing computes the
-content at most once ever, after which the step and state are dropped;
-all holders of the cell observe the same content.  Holding an early
-cell pins every forced cell reachable from it, so drop the head when
-streaming through long lists.
+A :class:`LazyList` cell is Nil or (head, tail).  Only the last cell of
+a list can be unforced, so all of its cells share one iterator: forcing
+a cell pulls that iterator once, memoizes the value and the next cell
+(or Nil at the iterator's end) and lets go of the iterator.  So content
+is computed at most once ever, and all holders of a cell observe the
+same content.  A value may be ``None``, unlike in a source.  Holding
+an early cell pins every forced cell reachable from it, so drop the
+head when streaming through long lists.
 """
 
+from itertools import count, islice
+
 from . import combinators, core
+from .combinators import _interleave
+from .core import _END
 
 __all__ = [
     "LazyList",
@@ -28,32 +34,33 @@ __all__ = [
     "transport_split",
 ]
 
-_UNFORCED = object()
-
 
 class LazyList:
-    """A shared, memoized cons cell: Nil or (head, tail)."""
+    """A shared, memoized cons cell over its list's iterator; made
+    directly, it unfolds ``step(state) -> (new_state, value) | None``."""
 
-    __slots__ = ("_step", "_state", "_content")
+    __slots__ = ("_it", "_content")
 
     def __init__(self, step, state):
-        self._step = step
-        self._state = state
-        self._content = _UNFORCED
+        def advance():
+            nonlocal state
+            out = step(state)
+            if out is None:
+                return _END
+            state, value = out
+            return value
+
+        self._it = iter(advance, _END)
 
     def force(self):
-        """Return ``None`` for Nil or the ``(head, tail)`` pair,
-        computing and memoizing it on first use.  If the step raises,
-        the cell stays unforced and can be retried."""
-        if self._content is _UNFORCED:
-            out = self._step(self._state)
-            if out is None:
-                self._content = None
-            else:
-                state, value = out
-                self._content = (value, LazyList(self._step, state))
-            self._step = None
-            self._state = None
+        """Return ``None`` for Nil or the ``(head, tail)`` pair, pulling
+        the list's iterator on first use.  If the pull raises, the cell
+        stays unforced; a retry pulls again (a spent generator: Nil)."""
+        it = self._it
+        if it is not None:
+            x = next(it, _END)
+            self._content = None if x is _END else (x, _lazy(it))
+            self._it = None
         return self._content
 
     def head(self):
@@ -75,13 +82,18 @@ class LazyList:
         return _cells(self)
 
 
+def _lazy(it):
+    """The lazy list of the values of ``it``: an unforced cell over it."""
+    cell = core._new(LazyList)
+    cell._it = it
+    return cell
+
+
 def _cells(lst):
     """The values of ``lst``, holding no cell behind the current one."""
-    cell = lst.force()
-    while cell is not None:
+    while (cell := lst.force()) is not None:
         value, lst = cell
         yield value
-        cell = lst.force()
 
 
 def lazy_list(step, init):
@@ -91,12 +103,12 @@ def lazy_list(step, init):
 
 
 def nil():
-    return LazyList(lambda _state: None, None)
+    return _lazy(iter(()))
 
 
 def lazy_nats_from(n):
     """The infinite lazy list n, n+1, n+2, ..."""
-    return lazy_list(lambda k: (k + 1, k), n)
+    return _lazy(count(n))
 
 
 def lazy_nats():
@@ -105,28 +117,15 @@ def lazy_nats():
 
 def lazy_take(n, lst):
     """The first min(n, length) elements as a plain list; forces no cell
-    beyond the requested prefix."""
-    out = []
-    while len(out) < n:
-        cell = lst.force()
-        if cell is None:
-            break
-        value, lst = cell
-        out.append(value)
-    return out
+    beyond the requested prefix.  ``n`` is an int; a negative one takes
+    nothing."""
+    return list(islice(_cells(lst), core._count(n)))
 
 
 def gen2lazy(source):
     """View a source as a lazy list; the source is asked only on force,
     and becomes owned by the list."""
-
-    def step(src):
-        x = src.ask()
-        if x is None:
-            return None
-        return src, x
-
-    return lazy_list(step, source)
+    return _lazy(iter(source.ask, None))
 
 
 def lazy2gen(lst):
@@ -153,29 +152,27 @@ def transport_split(op, a, src=lazy2gen, dst=gen2lazy):
     return dst(first), dst(second)
 
 
+def _mapped(f, values):
+    """``f`` over ``values`` up to a ``None`` value or result; it holds
+    no list, so it pins no cell."""
+    for x in values:
+        y = None if x is None else f(x)
+        if y is None:
+            return
+        yield y
+
+
 def lazy_maplist(f, lst):
     """Elementwise ``f`` over a lazy list, itself lazy, so it is safe on
-    infinite lists where an eager map would diverge."""
-    return transport1(lambda g: combinators.map1(f, g), lst)
+    infinite lists where an eager map would diverge.  Like ``map1`` on
+    its source view, it ends at a ``None`` value or result."""
+    return _lazy(_mapped(f, _cells(lst)))
 
 
 def lazy_sum(a, b):
     """Strict alternation a0, b0, a1, b1, ... continuing in the longer
     list after the shorter ends."""
-
-    def step(state):
-        xs, ys = state
-        cell = xs.force()
-        if cell is not None:
-            x, rest = cell
-            return (ys, rest), x
-        cell = ys.force()
-        if cell is not None:
-            y, rest = cell
-            return (rest, xs), y
-        return None
-
-    return lazy_list(step, (a, b))
+    return _lazy(_interleave(_cells(a), _cells(b)))
 
 
 def sum_alt(g1, g2):

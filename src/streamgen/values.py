@@ -47,10 +47,6 @@ class Pair:
             return NotImplemented
         return same_value(self.left, other.left) and same_value(self.right, other.right)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(value_key(self))
 

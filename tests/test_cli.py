@@ -134,3 +134,11 @@ def test_eval_too_deep_exits_2(capsys, text):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    assert run(["eval", "nat", "--bogus"]) == (2, "")
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(["eval", "[a,b]*(1:4)", "--take", "2"]) == (0, "[a-1, b-1]\n")
+    assert run(["eval", "nat"]) == (0, "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n")
+    assert capsys.readouterr().err == ""

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import prefix
+from test_protocol import CountingFile
 from streamgen import (
     from_list,
     gen2lazy,
@@ -17,6 +18,7 @@ from streamgen import (
     positives,
     sum_alt,
     take,
+    token_reader,
     transport1,
     transport2,
     transport_split,
@@ -202,3 +204,61 @@ def test_transport_split_partition():
     evens, odds = transport_split(partition_parity, lazy_nats())
     assert lazy_take(5, evens) == [0, 2, 4, 6, 8]
     assert lazy_take(5, odds) == [1, 3, 5, 7, 9]
+
+
+def test_none_value_stays_an_element():
+    assert list(lazy_list(list_step, (1, None, 2))) == [1, None, 2]
+    both = lazy_sum(lazy_list(list_step, (None, None)), lazy_list(list_step, ("b",)))
+    assert list(both) == [None, "b", None]
+
+
+def test_lazy_maplist_reads_nil_after_f_raises():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        if x == 1:
+            raise RuntimeError("boom")
+        return x
+
+    mapped = lazy_maplist(f, lazy_nats())
+    assert mapped.head() == 0
+    with pytest.raises(RuntimeError):
+        mapped.tail().force()
+    assert mapped.tail().is_nil()
+    assert seen == [0, 1]
+
+
+def test_lazy_maplist_ends_where_its_source_view_ends():
+    assert list(lazy_maplist(lambda x: x, lazy_list(list_step, (1, None, 2)))) == [1]
+    assert list(lazy_maplist(lambda x: None if x == 2 else x, lazy_nats())) == [0, 1]
+
+
+def test_gen2lazy_runs_source_cleanup_once_at_nil():
+    from streamgen import Source
+
+    cleanups = []
+    values = iter([1, 2])
+    lst = gen2lazy(Source(lambda: next(values, None), lambda: cleanups.append(1)))
+    assert list(lst) == [1, 2]
+    assert cleanups == [1]
+    assert list(lst) == [1, 2]
+    assert lst.tail().tail().is_nil()
+    assert cleanups == [1]
+
+
+def test_gen2lazy_closes_token_reader_once_at_nil():
+    f = CountingFile("1 two\n3\n")
+    lst = gen2lazy(token_reader(f))
+    assert lst.head() == 1
+    assert f.close_calls == 0
+    assert list(lst) == [1, "two", 3]
+    assert f.close_calls == 1
+    assert lst.tail().tail().tail().is_nil()
+    assert f.close_calls == 1
+
+
+def test_lazy_take_negative_count_is_empty():
+    counter = [0]
+    assert lazy_take(-1, lazy_list(counted_nats_step(counter), 0)) == []
+    assert counter[0] == 0

@@ -17,6 +17,8 @@ from streamgen import (
     int_range,
     lazy2gen,
     lazy_list,
+    lazy_maplist,
+    lazy_sum,
     map1,
     map2,
     naturals,
@@ -32,6 +34,7 @@ from streamgen import (
     token_reader,
 )
 from streamgen.core import _MAX_NESTING
+from streamgen.lazylist import nil
 
 
 class CountingFile(io.StringIO):
@@ -344,7 +347,12 @@ def boxed(k):
     return k + 1, Box()
 
 
-@pytest.mark.parametrize("view", [lazy2gen, iter], ids=["lazy2gen", "iter"])
+@pytest.mark.parametrize("view", [
+    lazy2gen,
+    iter,
+    lambda lst: iter(lazy_maplist(lambda b: b, lst)),
+    lambda lst: iter(lazy_sum(lst, nil())),
+], ids=["lazy2gen", "iter", "lazy_maplist", "lazy_sum"])
 def test_walking_a_lazy_list_frees_the_cells_behind(view):
     walk = view(lazy_list(boxed, 0))
     pull = walk.ask if view is lazy2gen else walk.__next__
