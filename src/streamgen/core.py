@@ -119,7 +119,9 @@ class Source:
         return self._it is _DONE
 
     def __iter__(self):
-        return iter(self.ask, None)
+        ask = self.ask
+        while (x := ask()) is not None:
+            yield x
 
 
 _new = object.__new__
@@ -151,8 +153,7 @@ def _own(source):
 def show(n, source):
     """Render up to ``n`` elements of ``source`` as ``[e1, e2, ...]``,
     consuming them."""
-    asks = iter(source.ask, None)
-    return "[" + ", ".join(map(render, islice(asks, max(n, 0)))) + "]"
+    return "[" + ", ".join(map(render, islice(source, max(n, 0)))) + "]"
 
 
 def constant(v):

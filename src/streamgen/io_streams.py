@@ -3,8 +3,9 @@ lifecycle.
 
 The handle opens at construction, so unreadable paths fail early; it is
 closed exactly once, whether the stream is drained, stopped (also before
-its first ask), or hits an I/O error mid-read.  Pass a filesystem path,
-``"-"`` for standard input, or an already-open text file object.
+its first ask), dropped unfinished, or hits an I/O error mid-read.  Pass
+a filesystem path, ``"-"`` for standard input, or an already-open text
+file object.
 """
 
 import sys
@@ -30,36 +31,49 @@ def _open(source):
     return handle, close
 
 
+def _started(reader):
+    """``reader`` run to its first bare ``yield``, inside its ``try``, so
+    that dropping it unread still closes the file."""
+    next(reader)
+    return reader
+
+
 def _tokens(handle, close):
-    for line in iter(handle.readline, ""):
-        for text in line.split():
-            try:
-                token = int(text)
-            except ValueError:
-                token = text
-            yield token
-    close()
+    try:
+        yield
+        for line in iter(handle.readline, ""):
+            for text in line.split():
+                try:
+                    token = int(text)
+                except ValueError:
+                    token = text
+                yield token
+    finally:
+        close()
 
 
 def token_reader(source):
     """Whitespace-delimited tokens from ``source``: decimal integers
     become ints, anything else a raw-text symbol."""
     handle, close = _open(source)
-    return _source(_tokens(handle, close), cleanup=close)
+    return _source(_started(_tokens(handle, close)), cleanup=close)
 
 
 def _lines(handle, close):
-    for line in iter(handle.readline, ""):
-        if line.endswith("\n"):
-            line = line[:-1]
-            if line.endswith("\r"):
+    try:
+        yield
+        for line in iter(handle.readline, ""):
+            if line.endswith("\n"):
                 line = line[:-1]
-        yield line
-    close()
+                if line.endswith("\r"):
+                    line = line[:-1]
+            yield line
+    finally:
+        close()
 
 
 def line_reader(source):
     """One symbol per line of ``source``, newline stripped (CR before LF
     too); a final unterminated line is still yielded."""
     handle, close = _open(source)
-    return _source(_lines(handle, close), cleanup=close)
+    return _source(_started(_lines(handle, close)), cleanup=close)

@@ -125,7 +125,7 @@ def lazy_take(n, lst):
 def gen2lazy(source):
     """View a source as a lazy list; the source is asked only on force,
     and becomes owned by the list."""
-    return _lazy(iter(source.ask, None))
+    return _lazy(iter(source))
 
 
 def lazy2gen(lst):

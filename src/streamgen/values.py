@@ -3,9 +3,21 @@
 Elements flowing through streams are plain Python ints, floats and
 symbol strings, plus arbitrarily nested ``Pair`` cells.  Equality
 between values is variant-strict: the int 3 and the float 3.0 are
-*different* values even though Python considers them ``==``.  Use
-:func:`same_value` / :func:`value_key` whenever that distinction
-matters (deduplication, multiset comparisons).
+*different* values even though Python considers them ``==``.
+
+One rule decides equality: ``same_value(a, b)`` (and, for pairs,
+``a == b``) holds exactly when ``value_key(a) == value_key(b)``, and
+equal pairs hash alike.  The key of an exact int or str is the value
+itself, of a float ``(_FLOAT, v)`` and of any other atom
+``(type(v), v)``.  The key of a pair is one flat tuple holding its
+atoms' keys in prefix order, with a private ``_PAIR`` tag before the
+two parts of each pair (a float's tag is spliced in as its own token).
+So 0.0 equals -0.0, and a NaN equals only itself (the same object), as
+in Python's containers.
+
+No function here recurses: pairs are walked with loops and explicit
+stacks, so a pair of any depth can be keyed, hashed, compared and
+rendered.
 """
 
 import re
@@ -20,6 +32,10 @@ __all__ = [
 ]
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+
+# Key tags: fresh objects, so no key of a value can contain them by accident.
+_PAIR = object()
+_FLOAT = object()
 
 
 def is_symbol(text):
@@ -45,13 +61,29 @@ class Pair:
     def __eq__(self, other):
         if not isinstance(other, Pair):
             return NotImplemented
-        return same_value(self.left, other.left) and same_value(self.right, other.right)
+        return value_key(self) == value_key(other)
 
     def __hash__(self):
         return hash(value_key(self))
 
     def __repr__(self):
-        return "Pair(%r, %r)" % (self.left, self.right)
+        out = []
+        todo = [self]  # pairs, and text already rendered
+        while todo:
+            v = todo.pop()
+            if not isinstance(v, Pair):
+                out.append(v)
+                continue
+            out.append("Pair(")
+            left = v.left
+            right = v.right
+            todo += (
+                ")",
+                right if isinstance(right, Pair) else repr(right),
+                ", ",
+                left if isinstance(left, Pair) else repr(left),
+            )
+        return "".join(out)
 
     def __str__(self):
         return render(self)
@@ -63,30 +95,112 @@ Value = object
 
 def value_key(v):
     """A hashable key distinguishing values that Python's ``==`` would
-    conflate (3 vs 3.0, nested pairs)."""
-    if isinstance(v, Pair):
-        return ("pair", value_key(v.left), value_key(v.right))
-    return (type(v).__name__, v)
+    conflate (3 vs 3.0, nested pairs); see the module docstring."""
+    t = type(v)
+    if t is int or t is str:
+        return v
+    if t is float:
+        return (_FLOAT, v)
+    if not isinstance(v, Pair):
+        return (t, v)
+    right = v.right
+    t = type(right)
+    if t is int or t is str:
+        left = v.left
+        t = type(left)
+        if t is int or t is str:
+            return (_PAIR, left, right)
+        if t is Pair:  # a product of a product
+            a = left.left
+            b = left.right
+            t = type(a)
+            if t is int or t is str:
+                t = type(b)
+                if t is int or t is str:
+                    return (_PAIR, _PAIR, a, b, right)
+    out = []
+    emit = out.append
+    todo = [v]
+    push = todo.append
+    pop = todo.pop
+    while todo:
+        v = pop()
+        while isinstance(v, Pair):  # down the left spine
+            emit(_PAIR)
+            push(v.right)
+            v = v.left
+        t = type(v)
+        if t is int or t is str:
+            emit(v)
+        elif t is float:
+            emit(_FLOAT)
+            emit(v)
+        else:
+            emit((t, v))
+    return tuple(out)
 
 
 def same_value(a, b):
-    """Variant-strict equality between two values."""
-    if isinstance(a, Pair) or isinstance(b, Pair):
-        if not (isinstance(a, Pair) and isinstance(b, Pair)):
-            return False
-        return same_value(a.left, b.left) and same_value(a.right, b.right)
-    return type(a) is type(b) and a == b
+    """Variant-strict equality between two values: their keys are equal."""
+    return value_key(a) == value_key(b)
 
 
 def render(v):
-    """Render a value as text: numbers in decimal, symbols verbatim,
-    pairs as ``A-B`` with parentheses around a pair-valued right side."""
-    if isinstance(v, Pair):
-        left = render(v.left)
-        right = render(v.right)
-        if isinstance(v.right, Pair):
-            right = "(" + right + ")"
-        return left + "-" + right
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """Render a value as text: numbers in decimal, floats by ``repr``,
+    symbols verbatim, pairs as ``A-B`` with parentheses around a
+    pair-valued right side."""
+    # An atom's text is inlined throughout: a call per atom would cost
+    # more than the rest of rendering a flat pair.
+    if not isinstance(v, Pair):
+        return repr(v) if isinstance(v, float) else str(v)
+    right = v.right
+    if isinstance(right, Pair):
+        return _render_tree(v)
+    left = v.left
+    text = repr(right) if isinstance(right, float) else str(right)
+    if not isinstance(left, Pair):
+        return (repr(left) if isinstance(left, float) else str(left)) + "-" + text
+    # A left comb (a product of products) is its atoms joined by "-".
+    texts = [text]
+    while True:
+        right = left.right
+        if isinstance(right, Pair):
+            return _render_tree(v)
+        texts.append(repr(right) if isinstance(right, float) else str(right))
+        left = left.left
+        if not isinstance(left, Pair):
+            break
+    texts.append(repr(left) if isinstance(left, float) else str(left))
+    texts.reverse()
+    return "-".join(texts)
+
+
+_CLOSE = object()  # on the stack of _render_tree: a ")" is due
+
+
+def _render_tree(v):
+    """``render`` of any pair, in order, with an explicit stack of the
+    pairs whose right side is still due."""
+    out = []
+    emit = out.append
+    todo = []
+    push = todo.append
+    pop = todo.pop
+    while True:
+        while isinstance(v, Pair):
+            push(v)
+            v = v.left
+        emit(repr(v) if isinstance(v, float) else str(v))
+        while todo:
+            v = pop()
+            if v is _CLOSE:
+                emit(")")
+                continue
+            v = v.right
+            if isinstance(v, Pair):
+                emit("-(")
+                push(_CLOSE)
+                break
+            emit("-" + (repr(v) if isinstance(v, float) else str(v)))
+        else:
+            return "".join(out)

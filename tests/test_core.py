@@ -2,6 +2,7 @@ import pytest
 
 from conftest import CountedSteps, prefix
 from streamgen import (
+    Pair,
     Source,
     constant,
     cycle_values,
@@ -165,3 +166,21 @@ def test_step_error_is_sticky():
         g.ask()
     assert g.ask() is None
     assert state["n"] == 2
+
+
+def test_iterating_pairs_never_compares_them(monkeypatch):
+    calls = []
+    eq = Pair.__eq__
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Pair, "__eq__", counting_eq)
+    pairs = [Pair(1, 2)] * 1000
+    src, shown = from_list(pairs), from_list(pairs)
+    del calls[:]  # building checks the list for None, a compare per element
+    assert len(list(src)) == 1000
+    assert len(calls) == 0
+    assert show(1000, shown) == "[" + ", ".join(["1-2"] * 1000) + "]"
+    assert len(calls) == 0

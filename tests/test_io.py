@@ -1,9 +1,11 @@
+import gc
 import io
+import warnings
 
 import pytest
 
 from conftest import prefix
-from streamgen import line_reader, reduce_stream, scan, take, token_reader
+from streamgen import gen2lazy, line_reader, map1, reduce_stream, scan, take, token_reader
 
 
 class CountingFile(io.StringIO):
@@ -128,3 +130,45 @@ def test_pipeline_reduce(tmp_path):
     path = tmp_path / "nums.txt"
     path.write_text("10 20 30\n")
     assert reduce_stream(lambda a, b: a + b, 0, token_reader(str(path))).ask() == 60
+
+
+def _read_one(source):
+    source.ask()
+    return source
+
+
+def _read_head(lst):
+    lst.head()
+    return lst
+
+
+# What is left holding a reader (unread, or after one element) when dropped.
+DROPS = {
+    "unread": lambda reader: reader,
+    "direct": _read_one,
+    "map1": lambda reader: _read_one(map1(str, reader)),
+    "gen2lazy": lambda reader: _read_head(gen2lazy(reader)),
+}
+
+
+@pytest.mark.parametrize("read", [token_reader, line_reader], ids=["token_reader", "line_reader"])
+@pytest.mark.parametrize("drop", list(DROPS))
+def test_dropping_a_reader_closes_its_file_once(read, drop):
+    f = CountingFile("a b\nc d\n")
+    held = DROPS[drop](read(f))
+    assert f.close_calls == 0
+    del held
+    gc.collect()
+    assert f.close_calls == 1
+
+
+@pytest.mark.parametrize("drop", list(DROPS))
+def test_dropping_a_reader_leaves_no_unclosed_file(tmp_path, drop):
+    path = tmp_path / "data.txt"
+    path.write_text("a b\nc d\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        held = DROPS[drop](token_reader(str(path)))
+        del held
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
