@@ -14,7 +14,7 @@ fixed pair appears after finitely many outputs.
 import math
 from functools import reduce
 
-from .core import _END, _own, _source
+from .core import _END, _own, _source, _until_none
 from .values import Pair, value_key
 
 __all__ = [
@@ -54,28 +54,23 @@ def sum_streams(g1, g2):
 
 
 def _alternating(g1, g2):
+    its = (g1, g2)
+    seen = ([], [])  # each side's elements so far, newest first
     a = next(g1, None)
-    if a is None:
-        return
-    first_active = True  # does the active side feed the left pair slot?
-    active, passive = g1, g2
-    active_seen, passive_seen = [], []
-    while True:
-        for y in passive_seen:
-            yield Pair(a, y) if first_active else Pair(y, a)
-        b = next(passive, None)
-        if b is None:
-            break
-        active_seen.insert(0, a)
-        active, passive = passive, active
-        active_seen, passive_seen = passive_seen, active_seen
-        a = b
-        first_active = not first_active
-    if not passive_seen:  # the passive side is empty: no pairs at all
-        return
-    for x in active:
-        for y in passive_seen:
-            yield Pair(x, y) if first_active else Pair(y, x)
+    side = 0  # the side ``a`` came from; g1's elements go on the left
+    while a is not None:
+        other = 1 - side
+        for y in seen[other]:
+            yield Pair(y, a) if side else Pair(a, y)
+        b = next(its[other], None)
+        if b is None:  # the other side ended: pair the rest with its history
+            if seen[other]:
+                for x in its[side]:
+                    for y in seen[other]:
+                        yield Pair(y, x) if side else Pair(x, y)
+            return
+        seen[side].insert(0, a)
+        a, side = b, other
 
 
 def product(g1, g2):
@@ -185,11 +180,6 @@ def product_cantor(g1, g2):
     pair and the output is linear-time.
     """
     return _binary(_diagonals, g1, g2, True)
-
-
-def _until_none(it):
-    """``it`` ending at its first ``None``."""
-    return iter(it.__next__, None)
 
 
 def map1(f, source):

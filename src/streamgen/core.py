@@ -4,13 +4,18 @@ termination, basic constructors, slicing and display helpers.
 A :class:`Source` is one Python iterator plus the sources it owns.  The
 iterator never yields ``None``: that is not a stream value, so a list, a
 producer or a user callable (handed to :func:`iterate`, ``map1`` etc.)
-ends the stream where it would deliver ``None``.  Once a source is
-exhausted, raises or is stopped, it stays done: ``ask`` never pulls its
-iterator again, and a ``step`` is never called again, even by an owner.
-``stop()`` closes the iterator, then stops each owned source and lets go
-of it.  A combinator builds its iterator from its inputs' iterators, so
-a pipeline pulls through one chain of iterators rather than one ``ask``
-per layer, and a source handed to a combinator belongs to it.
+ends the stream where it would deliver ``None``, cut by identity, never
+by ``==``.  Once a source is exhausted, raises or is stopped, it stays
+done: ``ask`` never pulls its iterator again.  ``stop()`` closes the
+iterator, then stops each owned source and lets go of it.  A combinator
+builds its iterator from its inputs' iterators, so a pipeline pulls
+through one chain of iterators rather than one ``ask`` per layer.
+
+A source handed to a combinator belongs to it; nothing enforces that.
+Stopped directly, an owned ``Source(step)`` or engine (whose guard
+checks before each step) or file reader (whose generator is closed)
+gives its owner no more elements; a source over C iterators alone
+(``naturals()``, ``take`` of it, ...) keeps feeding the owner.
 
 Pulls between C iterators (``islice``, ``map``, ...) do not count
 against Python's recursion limit, so a deep enough chain of them would
@@ -22,7 +27,8 @@ import operator
 import random
 import sys
 import weakref
-from itertools import count, cycle, islice, repeat
+from functools import partial
+from itertools import count, cycle, islice, repeat, takewhile
 
 from .values import render
 
@@ -49,6 +55,30 @@ _MAX_NESTING = 1000
 _DONE = iter(())  # the iterator of every finished source
 _END = object()  # the end of an iterator that may yield None (a lazy list's)
 
+# ``it`` up to its first None, by identity: C-level, never calling __eq__.
+_until_none = partial(takewhile, partial(operator.is_not, None))
+
+
+def _guarded(ref, step):
+    """The results of ``step()`` up to ``None``, for the source ``ref()``.
+    It never steps a done source.  A stop from inside ``step`` ends the
+    pull, and the cleanup (which may close the running generator) waits
+    for ``step``.  It holds the source only while ``step`` runs, so a
+    dropped source is freed at once."""
+    while (src := ref()) is not None and src._it is not _DONE:
+        cleanup, src._cleanup = src._cleanup, None
+        try:
+            x = step()
+        except StopIteration:  # as from ``next(it)``: the end, as for iter()
+            x = None
+        finally:
+            src._cleanup = cleanup
+        if x is None or src._it is _DONE:
+            src.stop()  # runs the cleanup, also one deferred by a stop in step
+            return
+        src = None
+        yield x
+
 
 class Source:
     """A stateful, single-consumer stream of values.
@@ -61,26 +91,7 @@ class Source:
     __slots__ = ("_it", "_inputs", "_cleanup", "_depth", "__weakref__")
 
     def __init__(self, step, cleanup=None):
-        ref = weakref.ref(self)  # no cycle: a dropped source is freed at once
-
-        def resume():
-            # Never step once done (a freed source was stopped first).  A
-            # stop from inside ``step`` ends this pull, and ``cleanup``
-            # (which may close the running generator) waits for ``step``.
-            src = ref()
-            if src is None or src._it is _DONE:
-                return None
-            src._cleanup = None
-            try:
-                x = step()
-            finally:
-                src._cleanup = cleanup
-            if src._it is not _DONE:
-                return x
-            src.stop()
-            return None
-
-        self._it = iter(resume, None)
+        self._it = _guarded(weakref.ref(self), step)
         self._inputs = ()
         self._cleanup = cleanup
         self._depth = 1
@@ -153,7 +164,7 @@ def _own(source):
 def show(n, source):
     """Render up to ``n`` elements of ``source`` as ``[e1, e2, ...]``,
     consuming them."""
-    return "[" + ", ".join(map(render, islice(source, max(n, 0)))) + "]"
+    return "[" + ", ".join(map(render, islice(source, _count(n)))) + "]"
 
 
 def constant(v):
@@ -203,8 +214,7 @@ def unfold(advance, init):
 
 def from_list(values):
     """A finite stream of the given values, in order, duplicates kept."""
-    vs = list(values)
-    return _source(iter(vs if None not in vs else vs[:vs.index(None)]))
+    return _source(iter(list(_until_none(values))))
 
 
 def int_range(lo, hi):
@@ -216,7 +226,8 @@ def int_range(lo, hi):
 def cycle_values(values):
     """The values repeated forever; the empty cycle is the empty stream."""
     vs = list(values)
-    return _source(cycle(vs) if None not in vs else iter(vs[:vs.index(None)]))
+    cut = list(_until_none(vs))
+    return _source(cycle(vs) if len(cut) == len(vs) else iter(cut))
 
 
 def _count(n):

@@ -10,6 +10,8 @@ owner's, then ends with ``None`` and the iterator is closed once the
 producer has yielded.
 """
 
+from functools import partial
+
 from .core import Source
 
 __all__ = [
@@ -33,7 +35,7 @@ class Engine(Source):
 
     def __init__(self, producer):
         it = iter(producer())
-        super().__init__(it.__next__, getattr(it, "close", None))
+        super().__init__(partial(next, it, None), getattr(it, "close", None))
 
     next = Source.ask
 

@@ -15,30 +15,19 @@ from .core import _source
 __all__ = ["line_reader", "token_reader"]
 
 
-def _open(source):
-    """The handle to read and an idempotent function closing it (standard
-    input is never closed)."""
+def _open(source, read):
+    """A source over ``read(handle, owned)``, run to its first bare
+    ``yield`` inside its ``try``: its ``finally`` closes the file (unless
+    it is standard input) however the source ends, dropped unread too."""
     if source == "-":
         source = sys.stdin
     handle = source if hasattr(source, "read") else open(source, "r")
-    closed = [handle is sys.stdin]
-
-    def close():
-        if not closed[0]:
-            closed[0] = True
-            handle.close()
-
-    return handle, close
+    it = read(handle, handle is not sys.stdin)
+    next(it)
+    return _source(it, cleanup=it.close)
 
 
-def _started(reader):
-    """``reader`` run to its first bare ``yield``, inside its ``try``, so
-    that dropping it unread still closes the file."""
-    next(reader)
-    return reader
-
-
-def _tokens(handle, close):
+def _tokens(handle, owned):
     try:
         yield
         for line in iter(handle.readline, ""):
@@ -49,17 +38,17 @@ def _tokens(handle, close):
                     token = text
                 yield token
     finally:
-        close()
+        if owned:
+            handle.close()
 
 
 def token_reader(source):
     """Whitespace-delimited tokens from ``source``: decimal integers
     become ints, anything else a raw-text symbol."""
-    handle, close = _open(source)
-    return _source(_started(_tokens(handle, close)), cleanup=close)
+    return _open(source, _tokens)
 
 
-def _lines(handle, close):
+def _lines(handle, owned):
     try:
         yield
         for line in iter(handle.readline, ""):
@@ -69,11 +58,11 @@ def _lines(handle, close):
                     line = line[:-1]
             yield line
     finally:
-        close()
+        if owned:
+            handle.close()
 
 
 def line_reader(source):
     """One symbol per line of ``source``, newline stripped (CR before LF
     too); a final unterminated line is still yielded."""
-    handle, close = _open(source)
-    return _source(_started(_lines(handle, close)), cleanup=close)
+    return _open(source, _lines)

@@ -14,7 +14,9 @@ Grammar (whitespace insignificant):
 ``+`` builds interleaving sums, ``*`` Cartesian products, ``lo:hi`` a
 half-open integer range, ``[...]`` a finite stream literal, ``{e}``
 deduplication.  Bare symbols resolve through the environment and fall
-back to constant streams; bare integers are constant streams.
+back to constant streams; bare integers are constant streams.  An INT
+is an optional ``-`` and at most 640 ASCII digits (the least limit
+Python's ``int()`` may be set to), else a ``LexError``.
 """
 
 from dataclasses import dataclass
@@ -78,6 +80,9 @@ _PUNCT = {
     ",": "COMMA",
 }
 
+_DIGITS = frozenset("0123456789")
+_MAX_DIGITS = 640
+
 
 def tokenize(text):
     tokens = []
@@ -92,10 +97,12 @@ def tokenize(text):
             tokens.append(Token(_PUNCT[c], c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i - (c == "-") > _MAX_DIGITS:
+                raise LexError(i, "integer literal longer than %d digits" % _MAX_DIGITS)
             tokens.append(Token("INT", text[i:j], i))
             i = j
             continue

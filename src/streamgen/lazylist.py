@@ -12,10 +12,11 @@ head when streaming through long lists.
 """
 
 from itertools import count, islice
+from operator import itemgetter
 
-from . import combinators, core
+from . import core
 from .combinators import _interleave
-from .core import _END
+from .core import _END, _until_none
 
 __all__ = [
     "LazyList",
@@ -45,12 +46,13 @@ class LazyList:
         def advance():
             nonlocal state
             out = step(state)
-            if out is None:
-                return _END
-            state, value = out
-            return value
+            if out is not None:
+                state, _ = out
+            return out
 
-        self._it = iter(advance, _END)
+        # Live after a raising ``step`` (the cell can be forced again);
+        # the None test sees ``step``'s result, never a value.
+        self._it = map(itemgetter(1), iter(advance, None))
 
     def force(self):
         """Return ``None`` for Nil or the ``(head, tail)`` pair, pulling
@@ -130,7 +132,7 @@ def gen2lazy(source):
 
 def lazy2gen(lst):
     """View a lazy list as a source, forcing cells on ask."""
-    return core._source(combinators._until_none(_cells(lst)))
+    return core._source(_until_none(_cells(lst)))
 
 
 def transport1(op, a, src=lazy2gen, dst=gen2lazy):

@@ -58,6 +58,30 @@ def test_eval_lex_error_exits_2(capsys):
     assert code == 2
 
 
+def test_eval_take_beyond_sys_maxsize():
+    assert run(["eval", "1:3", "--take", "99999999999999999999"]) == (0, "[1, 2]\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u00b2", "lexical error at 0: unexpected character '\u00b2'"),
+        ("1:\u0663", "lexical error at 2: unexpected character '\u0663'"),
+        ("1+" + "9" * 5000, "lexical error at 2: integer literal longer than 640 digits"),
+        ("-" + "9" * 641, "lexical error at 0: integer literal longer than 640 digits"),
+    ],
+    ids=["superscript-two", "arabic-indic-three", "digits-5000", "digits-641"],
+)
+def test_eval_bad_integer_literal_exits_2(capsys, text, message):
+    assert run(["eval", text]) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_longest_integer_literal_evaluates():
+    big = "-" + "9" * 640
+    assert run(["eval", big, "--take", "1"]) == (0, "[%s]\n" % big)
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _ = run(["eval", "nat", "--bogus"])
     assert code == 2

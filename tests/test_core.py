@@ -4,18 +4,26 @@ from conftest import CountedSteps, prefix
 from streamgen import (
     Pair,
     Source,
+    answer_source,
     constant,
     cycle_values,
     drop,
     from_list,
+    gen2lazy,
     int_range,
     iterate,
+    lazy2gen,
+    lazy_list,
+    lazy_maplist,
+    map1,
+    map2,
     naturals,
     negatives,
     positives,
     random_stream,
     show,
     slice_,
+    sum_streams,
     take,
     unfold,
 )
@@ -168,6 +176,30 @@ def test_step_error_is_sticky():
     assert state["n"] == 2
 
 
+def test_a_step_source_run_out_under_an_owner_is_cleaned_up_at_once():
+    events = []
+    steps = iter([1, 2])
+    src = Source(lambda: next(steps, None), lambda: events.append("cleanup"))
+    g = sum_streams(src, naturals())
+    assert show(6, g) == "[1, 0, 2, 1, 2, 3]"
+    assert src.is_done() and events == ["cleanup"]
+    g.stop()
+    assert events == ["cleanup"]
+
+
+def test_a_step_raising_stop_iteration_ends_the_stream():
+    steps = iter([1, 2])
+    g = sum_streams(Source(lambda: next(steps)), from_list([7, 8, 9]))
+    assert show(9, g) == "[1, 7, 2, 8, 9]"
+
+
+def test_show_clamps_its_count_like_take():
+    assert show(2**70, from_list([1])) == "[1]"
+    assert show(-1, naturals()) == "[]"
+    with pytest.raises(TypeError):
+        show(2.0, naturals())
+
+
 def test_iterating_pairs_never_compares_them(monkeypatch):
     calls = []
     eq = Pair.__eq__
@@ -178,9 +210,29 @@ def test_iterating_pairs_never_compares_them(monkeypatch):
 
     monkeypatch.setattr(Pair, "__eq__", counting_eq)
     pairs = [Pair(1, 2)] * 1000
-    src, shown = from_list(pairs), from_list(pairs)
-    del calls[:]  # building checks the list for None, a compare per element
-    assert len(list(src)) == 1000
-    assert len(calls) == 0
-    assert show(1000, shown) == "[" + ", ".join(["1-2"] * 1000) + "]"
-    assert len(calls) == 0
+
+    def stepper():
+        it = iter(pairs)
+        return lambda: next(it, None)
+
+    def pair_step(k):
+        return (k + 1, pairs[k]) if k < len(pairs) else None
+
+    # Each builds and drains a stream of the 1000 pairs.
+    drains = {
+        "from_list": lambda: list(from_list(pairs)),
+        "show": lambda: show(1000, from_list(pairs)).split(", "),
+        "cycle_values": lambda: list(take(1000, cycle_values(pairs))),
+        "cycle_values_cut": lambda: list(cycle_values(pairs + [None] + pairs)),
+        "map1": lambda: list(map1(lambda p: p, from_list(pairs))),
+        "map2": lambda: list(map2(lambda p, q: p, from_list(pairs), cycle_values(pairs))),
+        "Source": lambda: list(Source(stepper())),
+        "answer_source": lambda: list(answer_source(lambda: iter(pairs))),
+        "unfold": lambda: list(unfold(pair_step, 0)),
+        "lazy2gen_gen2lazy": lambda: list(lazy2gen(gen2lazy(from_list(pairs)))),
+        "lazy_list": lambda: list(lazy_list(pair_step, 0)),
+        "lazy_maplist": lambda: list(lazy_maplist(lambda p: p, gen2lazy(from_list(pairs)))),
+    }
+    for name, drain in drains.items():
+        assert len(drain()) == 1000, name
+        assert calls == [], name

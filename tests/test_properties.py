@@ -279,7 +279,7 @@ def test_sum_evaluation_homomorphism(e):
 
 
 @settings(max_examples=300)
-@given(st.text(alphabet=string.printable, max_size=256))
+@given(st.text(alphabet=string.printable + "\u00b2\u0663\u096b\uff17", max_size=256))
 def test_error_totality_on_fuzzed_input(text):
     try:
         parse_text(text)
