@@ -11,6 +11,7 @@ file object.
 import sys
 
 from .core import _source
+from .values import INT_MAX_DIGITS
 
 __all__ = ["line_reader", "token_reader"]
 
@@ -32,19 +33,20 @@ def _tokens(handle, owned):
         yield
         for line in iter(handle.readline, ""):
             for text in line.split():
-                try:
-                    token = int(text)
-                except ValueError:
-                    token = text
-                yield token
+                digits = text[1:] if text[0] == "-" else text
+                if digits.isdigit() and digits.isascii() and len(digits) <= INT_MAX_DIGITS:
+                    yield int(text)
+                else:
+                    yield text
     finally:
         if owned:
             handle.close()
 
 
 def token_reader(source):
-    """Whitespace-delimited tokens from ``source``: decimal integers
-    become ints, anything else a raw-text symbol."""
+    """Whitespace-delimited tokens from ``source``: a token is an int
+    exactly when it is the lexer's ``INT`` (an optional ``-``, then 1 to
+    640 ASCII digits), anything else is a raw-text symbol."""
     return _open(source, _tokens)
 
 

@@ -22,7 +22,7 @@ Python's ``int()`` may be set to), else a ``LexError``.
 from dataclasses import dataclass
 
 from . import combinators, core
-from .values import Value, is_symbol
+from .values import INT_DIGITS, INT_MAX_DIGITS, Value, is_symbol
 
 __all__ = [
     "ConstLit",
@@ -80,8 +80,7 @@ _PUNCT = {
     ",": "COMMA",
 }
 
-_DIGITS = frozenset("0123456789")
-_MAX_DIGITS = 640
+_DIGITS = frozenset(INT_DIGITS)
 
 
 def tokenize(text):
@@ -101,8 +100,8 @@ def tokenize(text):
             j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
-            if j - i - (c == "-") > _MAX_DIGITS:
-                raise LexError(i, "integer literal longer than %d digits" % _MAX_DIGITS)
+            if j - i - (c == "-") > INT_MAX_DIGITS:
+                raise LexError(i, "integer literal longer than %d digits" % INT_MAX_DIGITS)
             tokens.append(Token("INT", text[i:j], i))
             i = j
             continue

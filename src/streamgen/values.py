@@ -15,6 +15,14 @@ two parts of each pair (a float's tag is spliced in as its own token).
 So 0.0 equals -0.0, and a NaN equals only itself (the same object), as
 in Python's containers.
 
+``render`` dispatches on the exact type: an atom of type ``int``, ``str``
+or ``float``, a flat pair of such atoms and a product of a product of
+them are each one f-string, and a longer left comb is its atoms joined
+by ``-``.  Every other value (a bool, a right-nested pair, a ``Pair``
+subclass) takes the general loop, which tests with ``isinstance``: a
+subclass renders like a ``Pair`` and any other atom by ``str`` (for a
+float, ``str`` is ``repr`` on CPython 3).
+
 No function here recurses: pairs are walked with loops and explicit
 stacks, so a pair of any depth can be keyed, hashed, compared and
 rendered.
@@ -32,6 +40,14 @@ __all__ = [
 ]
 
 _SYMBOL_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+
+# The INT rule, shared by the lexer and ``token_reader``: an integer is an
+# optional "-", then 1 to INT_MAX_DIGITS characters of INT_DIGITS (the
+# least limit Python's ``int()`` may be set to).  INT_DIGITS are exactly
+# the ASCII characters for which ``str.isdigit()`` holds, so
+# ``t.isdigit() and t.isascii()`` tests "one or more INT_DIGITS".
+INT_DIGITS = "0123456789"
+INT_MAX_DIGITS = 640
 
 # Key tags: fresh objects, so no key of a value can contain them by accident.
 _PAIR = object()
@@ -148,29 +164,44 @@ def same_value(a, b):
 def render(v):
     """Render a value as text: numbers in decimal, floats by ``repr``,
     symbols verbatim, pairs as ``A-B`` with parentheses around a
-    pair-valued right side."""
-    # An atom's text is inlined throughout: a call per atom would cost
-    # more than the rest of rendering a flat pair.
-    if not isinstance(v, Pair):
-        return repr(v) if isinstance(v, float) else str(v)
+    pair-valued right side.  Dispatch is on the exact type; see the
+    module docstring."""
+    t = type(v)
+    if t is not Pair:
+        if t is int or t is str or t is float:
+            return f"{v}"
+        return _render_tree(v)
     right = v.right
-    if isinstance(right, Pair):
+    t = type(right)
+    if not (t is int or t is str or t is float):
         return _render_tree(v)
     left = v.left
-    text = repr(right) if isinstance(right, float) else str(right)
-    if not isinstance(left, Pair):
-        return (repr(left) if isinstance(left, float) else str(left)) + "-" + text
-    # A left comb (a product of products) is its atoms joined by "-".
-    texts = [text]
-    while True:
-        right = left.right
-        if isinstance(right, Pair):
+    t = type(left)
+    if t is int or t is str or t is float:
+        return f"{left}-{right}"
+    if t is not Pair:
+        return _render_tree(v)
+    a = left.left
+    b = left.right
+    t = type(b)
+    if not (t is int or t is str or t is float):
+        return _render_tree(v)
+    t = type(a)
+    if t is int or t is str or t is float:
+        return f"{a}-{b}-{right}"
+    # A longer left comb (a product of products) is its atoms joined by "-".
+    texts = [f"{right}", f"{b}"]
+    while t is Pair:
+        right = a.right
+        t = type(right)
+        if not (t is int or t is str or t is float):
             return _render_tree(v)
-        texts.append(repr(right) if isinstance(right, float) else str(right))
-        left = left.left
-        if not isinstance(left, Pair):
-            break
-    texts.append(repr(left) if isinstance(left, float) else str(left))
+        texts.append(f"{right}")
+        a = a.left
+        t = type(a)
+    if not (t is int or t is str or t is float):
+        return _render_tree(v)
+    texts.append(f"{a}")
     texts.reverse()
     return "-".join(texts)
 
@@ -179,7 +210,7 @@ _CLOSE = object()  # on the stack of _render_tree: a ")" is due
 
 
 def _render_tree(v):
-    """``render`` of any pair, in order, with an explicit stack of the
+    """``render`` of any value, in order, with an explicit stack of the
     pairs whose right side is still due."""
     out = []
     emit = out.append
@@ -190,7 +221,7 @@ def _render_tree(v):
         while isinstance(v, Pair):
             push(v)
             v = v.left
-        emit(repr(v) if isinstance(v, float) else str(v))
+        emit(str(v))
         while todo:
             v = pop()
             if v is _CLOSE:
@@ -201,6 +232,6 @@ def _render_tree(v):
                 emit("-(")
                 push(_CLOSE)
                 break
-            emit("-" + (repr(v) if isinstance(v, float) else str(v)))
+            emit("-" + str(v))
         else:
             return "".join(out)

@@ -3,9 +3,12 @@ import io
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import prefix
 from streamgen import gen2lazy, line_reader, map1, reduce_stream, scan, take, token_reader
+from streamgen.lang import LexError, tokenize
+from streamgen.values import INT_DIGITS
 
 
 class CountingFile(io.StringIO):
@@ -172,3 +175,74 @@ def test_dropping_a_reader_leaves_no_unclosed_file(tmp_path, drop):
         del held
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# One INT rule: a token is an int exactly when the lexer reads it as one INT.
+
+
+def _lexer_int(text):
+    """The int the lexer reads ``text`` as, or None if it is not one INT."""
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return None
+    if [t.kind for t in tokens] != ["INT", "END"]:
+        return None
+    return int(tokens[0].text)
+
+
+_TOKEN_CHARS = "0123456789-+_\u0661\u00b2abzAZ"
+_token_texts = st.one_of(
+    st.text(_TOKEN_CHARS, min_size=1, max_size=8),
+    # Around the 640-digit limit, sometimes with one other character inside.
+    st.builds(
+        lambda sign, digits, other, at: sign + digits[:at] + other + digits[at:],
+        st.sampled_from(["", "-", "+", "--"]),
+        st.text("0123456789", min_size=636, max_size=644),
+        st.sampled_from([""] * len(_TOKEN_CHARS) + list(_TOKEN_CHARS)),
+        st.integers(0, 644),
+    ),
+)
+
+
+def test_int_digits_are_the_ascii_characters_isdigit_accepts():
+    assert "".join(c for c in map(chr, range(128)) if c.isdigit()) == INT_DIGITS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_token_texts, min_size=1, max_size=6))
+def test_token_reader_int_rule_is_the_lexers(texts):
+    read = list(token_reader(io.StringIO(" ".join(texts) + "\n")))
+    assert len(read) == len(texts)
+    for text, token in zip(texts, read):
+        expected = _lexer_int(text)
+        if expected is None:
+            assert token == text and type(token) is str, text
+        else:
+            assert type(token) is int and token == expected == int(text), text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("\u0661\u0662", None),  # Arabic-Indic digits
+        ("\u00b2", None),  # a superscript two: str.isdigit() holds
+        ("+5", None),
+        ("1_000", None),
+        ("-", None),
+        ("-x", None),
+        ("--5", None),
+        ("-0", 0),
+        ("007", 7),
+        pytest.param("9" * 640, int("9" * 640), id="640_digits"),
+        pytest.param("-" + "9" * 640, -int("9" * 640), id="minus_640_digits"),
+        pytest.param("9" * 641, None, id="641_digits"),
+    ],
+)
+def test_token_reader_int_cases(text, expected):
+    assert _lexer_int(text) == expected
+    (token,) = token_reader(io.StringIO(text))
+    if expected is None:
+        assert token == text
+    else:
+        assert type(token) is int and token == expected

@@ -48,6 +48,8 @@ def test_is_symbol():
 _atoms = st.one_of(
     st.sampled_from([3, 3.0, 0.0, -0.0, float("inf"), float("-inf"), float("nan"), "inf", "nan", "float", "a"]),
     st.integers(-5, 5),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
     st.floats(allow_nan=True),
     st.text(alphabet="abxy_", min_size=1, max_size=3),
 )
@@ -108,6 +110,58 @@ def test_look_alike_atoms_differ():
     nan = float("nan")
     assert same_value(nan, nan) and Pair(nan, 1) == Pair(nan, 1)
     assert hash(Pair(nan, 1)) == hash(Pair(nan, 1))
+
+
+# render's fast paths (atoms, flat pairs, products of products, left
+# combs) against the reference, with every kind of value in every slot.
+
+
+class SubPair(Pair):
+    __slots__ = ()
+
+
+_SLOT_VALUES = [
+    1,
+    "s",
+    0.5,
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    1e16,
+    True,
+    2**70,
+    Pair(1, 2),
+    Pair(1, Pair(2, 3)),
+    SubPair(1, 2),
+    SubPair(SubPair(1, 2), 3),
+]
+
+
+def _shapes():
+    yield "comb4", Pair(Pair(Pair(1, "a"), 2.5), "b")
+    for x in _SLOT_VALUES:
+        yield "atom", x
+        yield "pair_left", Pair(x, 1)
+        yield "pair_right", Pair("a", x)
+        yield "prod_a", Pair(Pair(x, 1), 2)
+        yield "prod_b", Pair(Pair(1, x), 2)
+        yield "prod_c", Pair(Pair(1, 2), x)
+        yield "comb4_inner", Pair(Pair(Pair(1, x), 2), 3)
+        yield "comb4_first", Pair(Pair(Pair(x, 1), 2), 3)
+        yield "sub_outer", SubPair(Pair(1, x), 2)
+
+
+@pytest.mark.parametrize("v", [v for _, v in _shapes()], ids=["%s-%r" % s for s in _shapes()])
+def test_render_fast_paths_match_the_reference(v):
+    assert render(v) == reference_render(v)
+    assert str(v) == reference_render(v)
+
+
+def test_render_pair_subclasses_like_pairs():
+    assert render(Pair("a", SubPair(1, 2))) == "a-(1-2)"
+    assert render(SubPair(SubPair(1, 2), SubPair(3, 4))) == "1-2-(3-4)"
+    assert str(SubPair(1, 2.0)) == "1-2.0"
 
 
 # Deep pairs: no RecursionError at the default recursion limit.
