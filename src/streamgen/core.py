@@ -130,8 +130,17 @@ class Source:
         return self._it is _DONE
 
     def __iter__(self):
-        ask = self.ask
-        while (x := ask()) is not None:
+        # ``ask`` inlined, reading ``_it`` at each pull; a consumer that
+        # leaves the loop (closing this generator) leaves the source live.
+        while True:
+            try:
+                x = next(self._it, None)
+            except BaseException:
+                self.stop()
+                raise
+            if x is None:
+                self.stop()
+                return
             yield x
 
 

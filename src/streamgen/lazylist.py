@@ -1,12 +1,13 @@
 """Memoized, possibly infinite cons-lists and their isomorphism with
 stream sources.
 
-A :class:`LazyList` cell is Nil or (head, tail).  Only the last cell of
-a list can be unforced, so all of its cells share one iterator: forcing
-a cell pulls that iterator once, memoizes the value and the next cell
-(or Nil at the iterator's end) and lets go of the iterator.  So content
-is computed at most once ever, and all holders of a cell observe the
-same content.  A value may be ``None``, unlike in a source.  Holding
+A :class:`LazyList` cell is Nil or (head, tail) in one object: its
+list's iterator until forced, then its head and next cell (``None`` for
+Nil).  Only the last cell of a list can be unforced, so all of its cells
+share one iterator: forcing a cell pulls it once, memoizes the value and
+the next cell (or Nil at the iterator's end) and lets go of it.  So
+content is computed at most once ever, and all holders of a cell observe
+the same content.  A value may be ``None``, unlike in a source.  Holding
 an early cell pins every forced cell reachable from it, so drop the
 head when streaming through long lists.
 """
@@ -16,7 +17,7 @@ from operator import itemgetter
 
 from . import core
 from .combinators import _interleave
-from .core import _END, _until_none
+from .core import _END, _new, _until_none
 
 __all__ = [
     "LazyList",
@@ -40,7 +41,7 @@ class LazyList:
     """A shared, memoized cons cell over its list's iterator; made
     directly, it unfolds ``step(state) -> (new_state, value) | None``."""
 
-    __slots__ = ("_it", "_content")
+    __slots__ = ("_it", "_head", "_tail")
 
     def __init__(self, step, state):
         def advance():
@@ -55,30 +56,41 @@ class LazyList:
         self._it = map(itemgetter(1), iter(advance, None))
 
     def force(self):
-        """Return ``None`` for Nil or the ``(head, tail)`` pair, pulling
+        """Return ``None`` for Nil or a new ``(head, tail)`` pair, pulling
         the list's iterator on first use.  If the pull raises, the cell
         stays unforced; a retry pulls again (a spent generator: Nil)."""
         it = self._it
         if it is not None:
             x = next(it, _END)
-            self._content = None if x is _END else (x, _lazy(it))
+            if x is _END:
+                self._tail = None
+            else:
+                tail = _new(LazyList)
+                tail._it = it
+                self._head = x
+                self._tail = tail
             self._it = None
-        return self._content
+        tail = self._tail
+        return None if tail is None else (self._head, tail)
 
     def head(self):
-        cell = self.force()
-        if cell is None:
+        if self._it is not None:
+            self.force()
+        if self._tail is None:
             raise IndexError("head of empty lazy list")
-        return cell[0]
+        return self._head
 
     def tail(self):
-        cell = self.force()
-        if cell is None:
+        if self._it is not None:
+            self.force()
+        if self._tail is None:
             raise IndexError("tail of empty lazy list")
-        return cell[1]
+        return self._tail
 
     def is_nil(self):
-        return self.force() is None
+        if self._it is not None:
+            self.force()
+        return self._tail is None
 
     def __iter__(self):
         return _cells(self)
@@ -86,16 +98,32 @@ class LazyList:
 
 def _lazy(it):
     """The lazy list of the values of ``it``: an unforced cell over it."""
-    cell = core._new(LazyList)
+    cell = _new(LazyList)
     cell._it = it
     return cell
 
 
 def _cells(lst):
-    """The values of ``lst``, holding no cell behind the current one."""
-    while (cell := lst.force()) is not None:
-        value, lst = cell
-        yield value
+    """The values of ``lst``, forcing cells as ``force`` does; it holds
+    no cell behind the current one."""
+    while True:
+        it = lst._it
+        if it is not None:
+            x = next(it, _END)
+            if x is _END:
+                lst._it = lst._tail = None
+                return
+            tail = _new(LazyList)
+            tail._it = it
+            lst._head = x
+            lst._tail = tail
+            lst._it = None
+        elif (tail := lst._tail) is None:
+            return
+        else:
+            x = lst._head
+        lst = tail
+        yield x
 
 
 def lazy_list(step, init):
@@ -179,5 +207,7 @@ def lazy_sum(a, b):
 
 def sum_alt(g1, g2):
     """Interleaving of two sources, implemented on the lazy-list side
-    and transported back to sources."""
-    return transport2(lazy_sum, g1, g2, src=gen2lazy, dst=lazy2gen)
+    (``lazy_sum``) and viewed as a source that owns both."""
+    g1, g2 = core._own(g1), core._own(g2)
+    lst = lazy_sum(gen2lazy(g1), gen2lazy(g2))
+    return core._source(_until_none(_cells(lst)), (g1, g2))

@@ -200,6 +200,59 @@ def test_show_clamps_its_count_like_take():
         show(2.0, naturals())
 
 
+def test_iterating_a_source_cleans_up_once_at_the_end():
+    events = []
+    g = take(2, Source(lambda: 7, lambda: events.append("cleanup")))
+    assert list(g) == [7, 7]
+    assert g.is_done() and events == ["cleanup"]
+    assert list(g) == []
+    assert events == ["cleanup"]
+
+
+def test_iterating_a_source_stops_it_when_a_pull_raises():
+    events = []
+    leaf = Source(lambda: 1, lambda: events.append("cleanup"))
+
+    def f(x):
+        raise RuntimeError("boom")
+
+    g = map1(f, leaf)
+    with pytest.raises(RuntimeError):
+        for _ in g:
+            pass
+    assert g.is_done() and leaf.is_done()
+    assert events == ["cleanup"]
+
+
+def test_leaving_a_for_loop_leaves_the_source_live():
+    g = naturals()
+    for x in g:
+        if x == 2:
+            break
+    assert not g.is_done()
+    assert g.ask() == 3
+    it = iter(g)
+    assert next(it) == 4
+    it.close()
+    assert not g.is_done()
+    assert g.ask() == 5
+
+
+def test_stop_inside_a_for_loop_ends_the_loop():
+    events = []
+    steps = iter(range(100)).__next__
+    for g in (naturals(), map1(abs, naturals()), Source(steps, lambda: events.append(1))):
+        seen = []
+        for x in g:
+            seen.append(x)
+            if x == 2:
+                g.stop()
+            if len(seen) > 5:
+                break
+        assert seen == [0, 1, 2] and g.is_done()
+    assert events == [1]
+
+
 def test_iterating_pairs_never_compares_them(monkeypatch):
     calls = []
     eq = Pair.__eq__

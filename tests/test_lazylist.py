@@ -1,8 +1,12 @@
+import tracemalloc
+from itertools import count
+
 import pytest
 
 from conftest import prefix
 from test_protocol import CountingFile
 from streamgen import (
+    Engine,
     from_list,
     gen2lazy,
     lazy2gen,
@@ -262,3 +266,53 @@ def test_lazy_take_negative_count_is_empty():
     counter = [0]
     assert lazy_take(-1, lazy_list(counted_nats_step(counter), 0)) == []
     assert counter[0] == 0
+
+
+def counting_producer(start, started, closed):
+    def produce():
+        started.append(start)
+        try:
+            yield from count(start)
+        finally:
+            closed.append(start)
+
+    return produce
+
+
+@pytest.mark.parametrize("asks", [0, 1, 2, 5])
+def test_sum_alt_stop_stops_its_engines(asks):
+    started, closed = [], []
+    engines = [Engine(counting_producer(k, started, closed)) for k in (1, 100)]
+    s = sum_alt(*engines)
+    got = [s.ask() for _ in range(asks)]
+    assert got == [1, 100, 2, 101, 3][:asks]
+    s.stop()
+    assert all(e.is_done() for e in engines)
+    assert sorted(closed) == sorted(started) == [1, 100][:asks]
+    assert s.ask() is None
+
+
+@pytest.mark.parametrize("asks", [1, 2])  # asks=0: test_protocol.py's BINARY
+def test_sum_alt_stop_closes_held_token_readers_once(asks):
+    files = [CountingFile("1 2 3\n"), CountingFile("x y\n")]
+    readers = [token_reader(f) for f in files]
+    s = sum_alt(*readers)
+    assert [s.ask() for _ in range(asks)] == [1, "x"][:asks]
+    s.stop()
+    s.stop()
+    assert all(r.is_done() for r in readers)
+    assert [f.close_calls for f in files] == [1, 1]
+
+
+def test_a_forced_cell_retains_under_100_bytes():
+    n = 10**5
+    tracemalloc.start()
+    try:
+        head = lazy_nats_from(10**6)
+        before = tracemalloc.get_traced_memory()[0]
+        lazy_take(n, head)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert head.tail().head() == 10**6 + 1
+    assert (after - before) / n < 100

@@ -3,6 +3,7 @@
 import itertools
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CountedSteps, prefix
@@ -17,6 +18,7 @@ from streamgen import (
     int_range,
     lazy2gen,
     lazy_list,
+    lazy_maplist,
     lazy_take,
     naturals,
     product,
@@ -243,6 +245,94 @@ def test_force_once_under_interleaved_traversals(vs, k):
     lazy_take(k, lst)
     forced = min(k, len(vs)) + (1 if k > len(vs) else 0)
     assert counter[0] == forced
+
+
+LIST_OPS = ("head", "tail", "force", "is_nil", "iter", "lazy_take",
+            "lazy2gen", "lazy_maplist", "root")
+
+
+@given(
+    st.lists(st.integers(-9, 9).map(lambda x: None if x == 0 else x), max_size=10),
+    st.lists(st.integers(0, 11), max_size=3),
+    st.lists(st.tuples(st.sampled_from(LIST_OPS), st.integers(0, 12)), max_size=25),
+)
+def test_lazy_list_laws_under_random_scripts(vs, fails, script):
+    """A script of reads on a counting ``lazy_list`` agrees with the plain
+    list ``vs``; its step runs once per forced cell (Nil included) plus
+    once per raise, and the first pull at each position in ``fails``
+    raises, leaving the cell to be forced again."""
+    calls = [0]
+    to_fail = set(fails)
+
+    def step(i):
+        calls[0] += 1
+        if i in to_fail:
+            to_fail.discard(i)
+            raise RuntimeError(i)
+        return (i + 1, vs[i]) if i < len(vs) else None
+
+    def run(op, lst, n, rest, cut):
+        if op == "force":
+            cell = lst.force()
+            if rest:
+                assert cell == (rest[0], lst.tail()) and cell[1] is lst.tail()
+            else:
+                assert cell is None
+        elif op == "is_nil":
+            assert lst.is_nil() == (not rest)
+        elif op in ("head", "tail") and not rest:
+            with pytest.raises(IndexError):
+                getattr(lst, op)()
+        elif op == "head":
+            assert lst.head() == rest[0]
+        elif op == "tail":
+            assert lst.tail() is lst.tail()
+            return lst.tail()
+        elif op == "iter":
+            assert list(itertools.islice(lst, n)) == rest[:n]
+        elif op == "lazy_take":
+            assert lazy_take(n, lst) == rest[:n]
+        elif op == "lazy2gen":
+            assert prefix(n, lazy2gen(lst)) == cut[:n]
+        else:
+            assert lazy_take(n, lazy_maplist(lambda x: 3 * x, lst)) == [3 * x for x in cut[:n]]
+        return lst
+
+    pending = set(fails)  # the model of ``to_fail``
+    raised = forced = pos = 0  # raises, cells forced, the cursor's position
+    root = lst = lazy_list(step, 0)
+    for op, n in script:
+        if op == "root":
+            lst, pos = root, 0
+            continue
+        rest = vs[pos:]
+        cut = list(itertools.takewhile(lambda v: v is not None, rest))
+        if op in ("iter", "lazy_take"):
+            reach = pos + min(n, len(rest) + 1)
+        elif op in ("lazy2gen", "lazy_maplist"):
+            reach = pos + min(n, len(cut) + 1)  # the source view ends at None
+        else:
+            reach = pos + 1
+        failing = [p for p in pending if p < reach]
+        if failing:
+            with pytest.raises(RuntimeError):
+                run(op, lst, n, rest, cut)
+            pending.discard(min(failing))
+            raised += 1
+            forced = max(forced, min(failing))
+        else:
+            nxt = run(op, lst, n, rest, cut)
+            if nxt is not lst:
+                lst, pos = nxt, pos + 1
+            forced = max(forced, reach)
+        assert calls[0] == forced + raised
+    while True:  # every cell that raised can be forced again
+        try:
+            assert list(root) == vs
+            break
+        except RuntimeError:
+            raised += 1
+    assert calls[0] == len(vs) + 1 + raised
 
 
 # --- expression language ----------------------------------------------

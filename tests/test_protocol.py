@@ -29,6 +29,7 @@ from streamgen import (
     setify,
     show,
     slice_,
+    sum_alt,
     sum_streams,
     take,
     token_reader,
@@ -71,6 +72,7 @@ UNARY = {
 BINARY = {
     "map2": lambda a, b: map2(add, a, b),
     "sum_streams": sum_streams,
+    "sum_alt": sum_alt,
     "product": product,
     "convolution": convolution,
     "product_cantor": product_cantor,
@@ -107,6 +109,7 @@ EXPECTED = {
     "setify": ("[1]", "[]"),
     "map2": (("[1]", "[1]"), ("[]", "[]")),
     "sum_streams": (("[1, 0, 1, 2, 3]", "[0, 1, 1, 2, 3]"), ("[0, 1, 2, 3, 4]", "[0, 1, 2, 3, 4]")),
+    "sum_alt": (("[1, 0, 1, 2, 3]", "[0, 1, 1, 2, 3]"), ("[0, 1, 2, 3, 4]", "[0, 1, 2, 3, 4]")),
     "product": (("[1-0, 1-1, 1-2, 1-3, 1-4]", "[0-1, 1-1, 2-1, 3-1, 4-1]"), ("[]", "[]")),
     "convolution": (("[1-0, 1-1, 1-2, 1-3, 1-4]", "[0-1, 1-1, 2-1, 3-1, 4-1]"), ("[]", "[]")),
     "product_cantor": (("[1-0, 1-1, 1-2, 1-3, 1-4]", "[0-1, 1-1, 2-1, 3-1, 4-1]"), ("[]", "[]")),
