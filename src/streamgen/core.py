@@ -20,7 +20,11 @@ gives its owner no more elements; a source over C iterators alone
 Pulls between C iterators (``islice``, ``map``, ...) do not count
 against Python's recursion limit, so a deep enough chain of them would
 overflow the C stack.  Building a source that owns a chain of more than
-1000 sources, itself included, raises ``RecursionError`` instead.
+1000 sources, itself included, raises ``RecursionError`` instead.  A
+chain of Python-generator layers (``sum_streams``, ``setify``, ``scan``)
+close to that cap still builds, but its first pull takes one Python frame
+per layer: from a shallow stack, 998 of them exceed Python's recursion
+limit, and the ``RecursionError`` stops the source.
 """
 
 import operator

@@ -1,5 +1,5 @@
-"""The generator-expression language: lexer, recursive-descent parser,
-AST and evaluator.
+"""The generator-expression language: lexer, operator-precedence parser,
+AST, renderer and evaluator, none of which recurses.
 
 Grammar (whitespace insignificant):
 
@@ -16,13 +16,16 @@ half-open integer range, ``[...]`` a finite stream literal, ``{e}``
 deduplication.  Bare symbols resolve through the environment and fall
 back to constant streams; bare integers are constant streams.  An INT
 is an optional ``-`` and at most 640 ASCII digits (the least limit
-Python's ``int()`` may be set to), else a ``LexError``.
+Python's ``int()`` may be set to), else a ``LexError``.  Brackets add
+no tree height; more than 1000 open at once (``core._MAX_NESTING``)
+raise ``RecursionError``.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import combinators, core
-from .values import INT_DIGITS, INT_MAX_DIGITS, Value, is_symbol
+from .values import INT_DIGITS, INT_MAX_DIGITS, Value
 
 __all__ = [
     "ConstLit",
@@ -175,94 +178,79 @@ class Embed(Expr):
 
 # --- parsing -----------------------------------------------------------
 
+_BINARY = {"PLUS": (1, Sum), "STAR": (2, Prod)}  # precedence, node type
+_CLOSER = {"LPAREN": "RPAREN", "LBRACE": "RBRACE"}
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+def _expect(tok, kind):
+    if tok.kind != kind:
+        raise ParseError(tok.pos, "expected %s, found %s" % (kind, tok.kind))
+    return tok
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, "expected %s, found %s" % (kind, tok.kind))
-        return self.advance()
+def _literal_value(tok):
+    if tok.kind == "INT":
+        return int(tok.text)
+    if tok.kind == "SYM":
+        return tok.text
+    raise ParseError(tok.pos, "expected INT or SYM, found %s" % (tok.kind,))
 
-    def expr(self):
-        node = self.prod()
-        while self.peek().kind == "PLUS":
-            self.advance()
-            node = Sum(node, self.prod())
-        return node
 
-    def prod(self):
-        node = self.prim()
-        while self.peek().kind == "STAR":
-            self.advance()
-            node = Prod(node, self.prim())
-        return node
-
-    def prim(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            lo = int(tok.text)
-            if self.peek().kind == "COLON":
-                self.advance()
-                hi = int(self.expect("INT").text)
-                return RangeExpr(lo, hi)
-            return ConstLit(lo)
-        if tok.kind == "SYM":
-            self.advance()
-            return Ref(tok.text)
-        if tok.kind == "LBRACK":
-            self.advance()
-            values = []
-            if self.peek().kind != "RBRACK":
-                values.append(self.literal_value())
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    values.append(self.literal_value())
-            self.expect("RBRACK")
-            return ListLit(tuple(values))
-        if tok.kind == "LBRACE":
-            self.advance()
-            body = self.expr()
-            self.expect("RBRACE")
-            return SetOf(body)
-        if tok.kind == "LPAREN":
-            self.advance()
-            body = self.expr()
-            self.expect("RPAREN")
-            return body
+def _prim(tokens, i):
+    """The bracket-free operand at ``tokens[i]``, and the index after it."""
+    tok = tokens[i]
+    if tok.kind == "INT":
+        if tokens[i + 1].kind != "COLON":
+            return ConstLit(int(tok.text)), i + 1
+        return RangeExpr(int(tok.text), int(_expect(tokens[i + 2], "INT").text)), i + 3
+    if tok.kind == "SYM":
+        return Ref(tok.text), i + 1
+    if tok.kind != "LBRACK":
         raise ParseError(
             tok.pos,
             "expected INT, SYM, '[', '{' or '(', found %s" % (tok.kind,),
         )
-
-    def literal_value(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return int(tok.text)
-        if tok.kind == "SYM":
-            self.advance()
-            return tok.text
-        raise ParseError(tok.pos, "expected INT or SYM, found %s" % (tok.kind,))
+    values = []
+    i += 1
+    if tokens[i].kind != "RBRACK":
+        values.append(_literal_value(tokens[i]))
+        while tokens[i + 1].kind == "COMMA":
+            i += 2
+            values.append(_literal_value(tokens[i]))
+        i += 1
+    _expect(tokens[i], "RBRACK")
+    return ListLit(tuple(values)), i + 1
 
 
 def parse(tokens):
-    parser = _Parser(tokens)
-    node = parser.expr()
-    parser.expect("END")
-    return node
+    """The tree of ``tokens`` (ending in END), by operator precedence: an
+    open bracket waits on the operator stack as ``(0, closer, None)``."""
+    stack = [(0, "END", None)]  # and (precedence, Sum or Prod, left operand)
+    depth = 0  # brackets open
+    i = 0
+    while True:
+        while tokens[i].kind in _CLOSER:
+            depth += 1
+            if depth > core._MAX_NESTING:
+                raise RecursionError("expression nested too deeply")
+            stack.append((0, _CLOSER[tokens[i].kind], None))
+            i += 1
+        node, i = _prim(tokens, i)
+        while True:
+            tok = tokens[i]
+            i += 1
+            prec, make = _BINARY.get(tok.kind, (1, None))  # a closer folds all
+            while stack[-1][0] >= prec:
+                _, fold, left = stack.pop()
+                node = fold(left, node)
+            if make is not None:
+                stack.append((prec, make, node))
+                break
+            if _expect(tok, stack.pop()[1]).kind == "END":
+                return node
+            depth -= 1
+            if tok.kind == "RBRACE":
+                node = SetOf(node)
 
 
 def parse_text(text):
@@ -270,36 +258,35 @@ def parse_text(text):
 
 
 def render_expr(e):
-    """Canonical text for an expression; parses back to an equal tree."""
-    if isinstance(e, Sum):
-        return "%s+%s" % (_wrap(e.left, sum_ok=True), _wrap(e.right, sum_ok=False))
-    if isinstance(e, Prod):
-        return "%s*%s" % (_prod_side(e.left, left=True), _prod_side(e.right, left=False))
-    if isinstance(e, RangeExpr):
-        return "(%d:%d)" % (e.lo, e.hi)
-    if isinstance(e, ListLit):
-        return "[%s]" % ",".join(str(v) for v in e.values)
-    if isinstance(e, SetOf):
-        return "{%s}" % render_expr(e.body)
-    if isinstance(e, ConstLit):
-        return str(e.value)
-    if isinstance(e, Ref):
-        return e.name
-    raise TypeError("cannot render %r" % (e,))
-
-
-def _wrap(e, sum_ok):
-    text = render_expr(e)
-    if isinstance(e, Sum) and not sum_ok:
-        return "(" + text + ")"
-    return text
-
-
-def _prod_side(e, left):
-    text = render_expr(e)
-    if isinstance(e, Sum) or (isinstance(e, Prod) and not left):
-        return "(" + text + ")"
-    return text
+    """Canonical text for an expression; parses back to an equal tree.
+    One in-order walk over a stack of the nodes and text still due."""
+    out = []
+    todo = [(e, 0)]  # text, or (node, the precedence below which it is bracketed)
+    while todo:
+        e = todo.pop()
+        if type(e) is str:
+            out.append(e)
+            continue
+        e, need = e
+        prec = 1 if isinstance(e, Sum) else 2 if isinstance(e, Prod) else 3
+        if prec < need:
+            todo.append(")")
+            out.append("(")
+        if prec < 3:  # the left operand is bracketed if looser, the right unless tighter
+            todo += ((e.right, prec + 1), "+" if prec == 1 else "*", (e.left, prec))
+        elif isinstance(e, SetOf):
+            todo += ("}", (e.body, 0), "{")
+        elif isinstance(e, RangeExpr):
+            out.append("(%d:%d)" % (e.lo, e.hi))
+        elif isinstance(e, ListLit):
+            out.append("[%s]" % ",".join(str(v) for v in e.values))
+        elif isinstance(e, ConstLit):
+            out.append(str(e.value))
+        elif isinstance(e, Ref):
+            out.append(e.name)
+        else:
+            raise TypeError("cannot render %r" % (e,))
+    return "".join(out)
 
 
 # --- evaluation --------------------------------------------------------
@@ -336,41 +323,53 @@ def eval_expr(e, env=None):
     """Turn an expression into a ready-to-use source.  Unbound names
     evaluate to constant symbol streams; every evaluation of the same
     tree yields fresh sources (except for ``Embed`` of a concrete
-    source, which is spliced as-is)."""
-    if env is None:
-        env = Env()
-    if isinstance(e, Sum):
-        return combinators.sum_streams(eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, Prod):
-        return combinators.product(eval_expr(e.left, env), eval_expr(e.right, env))
-    if isinstance(e, RangeExpr):
-        return core.int_range(e.lo, e.hi)
-    if isinstance(e, ListLit):
-        return core.from_list(e.values)
-    if isinstance(e, SetOf):
-        return combinators.setify(eval_expr(e.body, env))
-    if isinstance(e, ConstLit):
-        return core.constant(e.value)
-    if isinstance(e, Ref):
-        factory = env.lookup(e.name)
-        if factory is not None:
-            return factory()
-        return core.constant(e.name)
-    if isinstance(e, Embed):
-        if callable(e.source):
-            return e.source()
-        return e.source
-    raise TypeError("not a generator expression: %r" % (e,))
+    source, which is spliced as-is).  A failed build stops what it built."""
+    lookup = Env().lookup if env is None else env.lookup
+    built = []  # the sources of the subtrees done, leftmost first
+    todo = []  # combinators due, each under the Sum or Prod whose right operand is
+    try:
+        while True:
+            if isinstance(e, Sum) or isinstance(e, Prod):
+                todo += (combinators.sum_streams if isinstance(e, Sum) else combinators.product, e)
+                e = e.left
+                continue
+            if isinstance(e, SetOf):
+                todo.append(combinators.setify)
+                e = e.body
+                continue
+            if isinstance(e, Ref):
+                factory = lookup(e.name)
+                built.append(core.constant(e.name) if factory is None else factory())
+            elif isinstance(e, ConstLit):
+                built.append(core.constant(e.value))
+            elif isinstance(e, RangeExpr):
+                built.append(core.int_range(e.lo, e.hi))
+            elif isinstance(e, ListLit):
+                built.append(core.from_list(e.values))
+            elif isinstance(e, Embed):
+                built.append(e.source() if callable(e.source) else e.source)
+            else:
+                raise TypeError("not a generator expression: %r" % (e,))
+            while todo:
+                make = todo.pop()
+                if isinstance(make, Expr):  # its left operand is built
+                    e = make.right
+                    break
+                if make is combinators.setify:
+                    built[-1] = make(built[-1])
+                else:
+                    built[-2:] = (make(built[-2], built[-1]),)
+            else:
+                return built[0]
+    except BaseException:
+        for source in built:
+            source.stop()
+        raise
 
 
 def eval_text(text, env=None, n=10):
     """Parse and evaluate ``text``, collecting up to ``n`` elements."""
     source = eval_expr(parse_text(text), env)
-    out = []
-    for _ in range(n):
-        x = source.ask()
-        if x is None:
-            break
-        out.append(x)
+    out = list(islice(source, core._count(n)))
     source.stop()
     return out

@@ -160,6 +160,20 @@ def test_eval_too_deep_exits_2(capsys, text):
     assert capsys.readouterr().err == "error: expression nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        ("(" * 1000 + "nat" + ")" * 1000, 0, "[0, 1, 2]\n", ""),
+        ("(" * 1001 + "nat" + ")" * 1001, 2, "", "error: expression nested too deeply\n"),
+        ("{" * 500 + "[1,2,1]" + "}" * 500, 0, "[1, 2]\n", ""),
+    ],
+    ids=["parens-1000", "parens-1001", "braces-500"],
+)
+def test_eval_nesting_bound(capsys, text, code, out, err):
+    assert run(["eval", text, "--take", "3"]) == (code, out)
+    assert capsys.readouterr().err == err
+
+
 def test_successive_main_calls_share_no_state(capsys):
     assert run(["eval", "nat", "--bogus"]) == (2, "")
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from conftest import prefix
 from streamgen import (
     Embed,
+    Engine,
     Env,
     LexError,
     ParseError,
@@ -12,9 +13,10 @@ from streamgen import (
     from_list,
     parse_text,
     render,
+    token_reader,
     tokenize,
 )
-from streamgen.lang import ConstLit, ListLit, Prod, RangeExpr, Ref, SetOf, Sum
+from streamgen.lang import ConstLit, ListLit, Prod, RangeExpr, Ref, SetOf, Sum, render_expr
 
 
 def kinds(text):
@@ -144,3 +146,73 @@ def test_eval_text_propagates_errors():
         eval_text("(", default_env(), 3)
     with pytest.raises(LexError):
         eval_text("?", default_env(), 3)
+
+
+# --- depth: no tree is too deep to parse, render or evaluate -----------
+
+
+def test_render_deep_left_sum_chain_round_trips():
+    e = Ref("a")
+    for i in range(50_000):  # 10^5 nodes
+        e = Sum(e, ConstLit(i))
+    text = render_expr(e)
+    assert text == "a+" + "+".join(map(str, range(50_000)))
+    assert render_expr(parse_text(text)) == text  # AST == and repr still recurse
+
+
+def test_render_deep_right_product_set_chain():
+    e = Ref("a")
+    for _ in range(33_333):  # 10^5 nodes
+        e = Prod(Ref("b"), SetOf(e))
+    assert render_expr(e) == "b*{" * 33_333 + "a" + "}" * 33_333
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+".join(["1"] * 5000), "*".join(["1"] * 3000), "{" * 1000 + "1" + "}" * 1000],
+    ids=["sum-5000", "product-3000", "braces-1000"],
+)
+def test_eval_too_high_tree_raises_the_nesting_cap(text):
+    with pytest.raises(RecursionError, match="streams nested more than 1000 deep"):
+        eval_expr(parse_text(text))
+
+
+def test_eval_failure_stops_the_sources_it_built():
+    finallies = []
+
+    def producer():
+        try:
+            while True:
+                yield 1
+        finally:
+            finallies.append(1)
+
+    def started_engine():
+        engine = Engine(producer)
+        engine.ask()  # runs the producer into its try
+        return engine
+
+    def boom():
+        raise RuntimeError("boom")
+
+    env = Env({"eng": started_engine, "boom": boom})
+    with pytest.raises(RuntimeError, match="boom"):
+        eval_expr(parse_text("eng*{eng}+boom"), env)
+    assert len(finallies) == 2
+    with pytest.raises(RecursionError, match="streams nested more than 1000 deep"):
+        eval_expr(parse_text("+".join(["eng"] + ["1"] * 1000)), env)
+    assert len(finallies) == 3  # not only once the traceback is freed
+
+
+def test_eval_too_high_tree_closes_its_readers(tmp_path):
+    path = tmp_path / "tokens.txt"
+    path.write_text("1 a 2\n")
+    files = []
+
+    def reader():
+        files.append(open(path))
+        return token_reader(files[-1])
+
+    with pytest.raises(RecursionError, match="streams nested more than 1000 deep"):
+        eval_expr(parse_text("+".join(["r"] * 3 + ["1"] * 998)), Env({"r": reader}))
+    assert len(files) == 3 and all(f.closed for f in files)

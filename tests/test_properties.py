@@ -43,6 +43,7 @@ from streamgen.lang import (
     eval_expr,
     parse_text,
     render_expr,
+    tokenize,
 )
 
 symbols = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
@@ -359,6 +360,141 @@ def test_parse_render_stability(e):
     assert parse_text(render_expr(e)) == e
 
 
+class ReferenceParser:
+    """The grammar by recursive descent, one method per rule: the parser
+    as written before it became one precedence loop."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(tok.pos, "expected %s, found %s" % (kind, tok.kind))
+        return self.advance()
+
+    def expr(self):
+        node = self.prod()
+        while self.peek().kind == "PLUS":
+            self.advance()
+            node = Sum(node, self.prod())
+        return node
+
+    def prod(self):
+        node = self.prim()
+        while self.peek().kind == "STAR":
+            self.advance()
+            node = Prod(node, self.prim())
+        return node
+
+    def prim(self):
+        tok = self.peek()
+        if tok.kind == "INT":
+            self.advance()
+            lo = int(tok.text)
+            if self.peek().kind == "COLON":
+                self.advance()
+                return RangeExpr(lo, int(self.expect("INT").text))
+            return ConstLit(lo)
+        if tok.kind == "SYM":
+            self.advance()
+            return Ref(tok.text)
+        if tok.kind == "LBRACK":
+            self.advance()
+            values = []
+            if self.peek().kind != "RBRACK":
+                values.append(self.literal_value())
+                while self.peek().kind == "COMMA":
+                    self.advance()
+                    values.append(self.literal_value())
+            self.expect("RBRACK")
+            return ListLit(tuple(values))
+        if tok.kind in ("LBRACE", "LPAREN"):
+            self.advance()
+            body = self.expr()
+            if tok.kind == "LBRACE":
+                self.expect("RBRACE")
+                return SetOf(body)
+            self.expect("RPAREN")
+            return body
+        raise ParseError(
+            tok.pos, "expected INT, SYM, '[', '{' or '(', found %s" % (tok.kind,)
+        )
+
+    def literal_value(self):
+        tok = self.advance()
+        if tok.kind == "INT":
+            return int(tok.text)
+        if tok.kind == "SYM":
+            return tok.text
+        raise ParseError(tok.pos, "expected INT or SYM, found %s" % (tok.kind,))
+
+
+def reference_parse(text):
+    parser = ReferenceParser(tokenize(text))
+    node = parser.expr()
+    parser.expect("END")
+    return node
+
+
+def reference_render(e):
+    """The canonical text, written recursively: a right ``+`` operand
+    that is a sum, a ``*`` operand that is a sum and a right ``*``
+    operand that is a product are bracketed."""
+    if isinstance(e, (Sum, Prod)):
+        left, right = reference_render(e.left), reference_render(e.right)
+        if isinstance(e, Sum):
+            return left + "+" + ("(%s)" % right if isinstance(e.right, Sum) else right)
+        if isinstance(e.left, Sum):
+            left = "(%s)" % left
+        if isinstance(e.right, (Sum, Prod)):
+            right = "(%s)" % right
+        return left + "*" + right
+    if isinstance(e, SetOf):
+        return "{%s}" % reference_render(e.body)
+    if isinstance(e, RangeExpr):
+        return "(%d:%d)" % (e.lo, e.hi)
+    if isinstance(e, ListLit):
+        return "[%s]" % ",".join(str(v) for v in e.values)
+    if isinstance(e, ConstLit):
+        return str(e.value)
+    return e.name
+
+
+def parse_outcome(parse, text):
+    """The tree, or the error's type, position and message."""
+    try:
+        return parse(text)
+    except (LexError, ParseError) as exc:
+        return type(exc), exc.pos, str(exc)
+
+
+grammar_texts = st.lists(
+    st.sampled_from(list("()[]{}+*:,") + ["1", "-2", "a", "nat", " "]), max_size=40
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(grammar_texts, exprs.map(render_expr)))
+def test_parse_matches_reference(text):
+    assert parse_outcome(parse_text, text) == parse_outcome(reference_parse, text)
+
+
+@settings(max_examples=300)
+@given(exprs)
+def test_render_matches_reference(e):
+    assert render_expr(e) == reference_render(e)
+
+
 @given(st.builds(Sum, expr_leaves, expr_leaves))
 def test_sum_evaluation_homomorphism(e):
     direct = prefix(50, eval_expr(e))
@@ -375,3 +511,41 @@ def test_error_totality_on_fuzzed_input(text):
         parse_text(text)
     except (LexError, ParseError) as exc:
         assert isinstance(exc.pos, int)
+
+
+def open_depth(text):
+    """The most brackets open at once in ``text``."""
+    depth = most = 0
+    for c in text:
+        if c in "({":
+            depth += 1
+            most = max(most, depth)
+        elif c in ")}":
+            depth -= 1
+    return most
+
+
+@st.composite
+def deep_texts(draw):
+    """Up to 3000 brackets around a chain of up to 5000 terms, perhaps
+    with one token spliced in anywhere."""
+    opens = draw(st.sampled_from(["(", "{", "({", "{("])) * draw(st.integers(0, 1500))
+    opens = opens[: draw(st.integers(0, 3000))]
+    chain = draw(st.sampled_from("+*")).join(["1"] * draw(st.integers(1, 5000)))
+    text = opens + chain + opens[::-1].translate(str.maketrans("({", ")}"))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(st.sampled_from(["", ")", "}", "(", "+", "[", ":", "a b"])) + text[cut:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_texts())
+def test_error_totality_on_deep_input(text):
+    try:
+        parse_text(text)
+    except (LexError, ParseError) as exc:
+        assert isinstance(exc.pos, int)
+    except RecursionError as exc:
+        assert str(exc) == "expression nested too deeply"
+        assert open_depth(text) > 1000
+    else:
+        assert open_depth(text) <= 1000
