@@ -6,16 +6,17 @@ iterator never yields ``None``: that is not a stream value, so a list, a
 producer or a user callable (handed to :func:`iterate`, ``map1`` etc.)
 ends the stream where it would deliver ``None``, cut by identity, never
 by ``==``.  Once a source is exhausted, raises or is stopped, it stays
-done: ``ask`` never pulls its iterator again.  ``stop()`` closes the
-iterator, then stops each owned source and lets go of it.  A combinator
-builds its iterator from its inputs' iterators, so a pipeline pulls
-through one chain of iterators rather than one ``ask`` per layer.
+done.  ``stop()`` closes a generator iterator, whose ``finally`` is the
+one place a cleanup runs, then stops and drops each owned source.  A
+combinator builds its iterator from its inputs' iterators, so a pipeline
+pulls through one chain of iterators rather than one ``ask`` per layer.
 
 A source handed to a combinator belongs to it; nothing enforces that.
-Stopped directly, an owned ``Source(step)`` or engine (whose guard
-checks before each step) or file reader (whose generator is closed)
-gives its owner no more elements; a source over C iterators alone
-(``naturals()``, ``take`` of it, ...) keeps feeding the owner.
+Stopped directly, an owned source over a generator (``Source(step)``,
+an engine, a reader, ``scan``, ``setify``, a sum or a product) gives its
+owner no more elements; a source over C iterators alone (``naturals()``,
+``take`` of it, ...) keeps feeding the owner.  A pull during which its
+source is stopped, by a step or producer, ends with ``None``.
 
 Pulls between C iterators (``islice``, ``map``, ...) do not count
 against Python's recursion limit, so a deep enough chain of them would
@@ -33,6 +34,7 @@ import sys
 import weakref
 from functools import partial
 from itertools import count, cycle, islice, repeat, takewhile
+from types import GeneratorType
 
 from .values import render
 
@@ -63,41 +65,42 @@ _END = object()  # the end of an iterator that may yield None (a lazy list's)
 _until_none = partial(takewhile, partial(operator.is_not, None))
 
 
-def _guarded(ref, step):
+def _guarded(ref, step, cleanup):
     """The results of ``step()`` up to ``None``, for the source ``ref()``.
-    It never steps a done source.  A stop from inside ``step`` ends the
-    pull, and the cleanup (which may close the running generator) waits
-    for ``step``.  It holds the source only while ``step`` runs, so a
-    dropped source is freed at once."""
-    while (src := ref()) is not None and src._it is not _DONE:
-        cleanup, src._cleanup = src._cleanup, None
-        try:
-            x = step()
-        except StopIteration:  # as from ``next(it)``: the end, as for iter()
-            x = None
-        finally:
-            src._cleanup = cleanup
-        if x is None or src._it is _DONE:
-            src.stop()  # runs the cleanup, also one deferred by a stop in step
-            return
-        src = None
-        yield x
+    Primed to its bare ``yield``, its ``finally`` runs ``cleanup`` however
+    it ends, also closed or dropped unasked.  It holds the source only
+    while ``step`` runs, so a dropped source is freed at once."""
+    try:
+        yield
+        while (src := ref()) is not None:
+            try:
+                x = step()
+            except StopIteration:  # as from ``next(it)``: the end, as for iter()
+                x = None
+            if x is None or src._it is _DONE:
+                src.stop()  # done also when an owner pulled it
+                return
+            src = None
+            yield x
+    finally:
+        if cleanup is not None:
+            cleanup()
 
 
 class Source:
     """A stateful, single-consumer stream of values.
 
     ``Source(step, cleanup)`` streams the results of ``step()`` up to its
-    first ``None`` and calls ``cleanup()`` once when done.  Iterating a
-    source consumes it.
+    first ``None``; ``cleanup()`` runs once, when the source is stopped,
+    runs out or is dropped.  Iterating a source consumes it.
     """
 
-    __slots__ = ("_it", "_inputs", "_cleanup", "_depth", "__weakref__")
+    __slots__ = ("_it", "_inputs", "_depth", "__weakref__")
 
     def __init__(self, step, cleanup=None):
-        self._it = _guarded(weakref.ref(self), step)
+        self._it = it = _guarded(weakref.ref(self), step, cleanup)
+        next(it)
         self._inputs = ()
-        self._cleanup = cleanup
         self._depth = 1
 
     def ask(self):
@@ -107,24 +110,22 @@ class Source:
         except BaseException:
             self.stop()
             raise
-        if x is None:
-            self.stop()
-        return x
+        if x is not None and self._it is not _DONE:
+            return x
+        self.stop()  # ran out, or was stopped during the pull
 
     def stop(self):
-        """Mark the source done, close its iterator, then stop and drop
-        each source it owns; idempotent."""
+        """Mark the source done, close its iterator if that is a generator
+        not running, then stop and drop each source it owns; idempotent."""
         todo = [self]
         try:
             while todo:
                 s = todo.pop()
-                s._it = _DONE
+                it, s._it = s._it, _DONE
                 todo += s._inputs[::-1]
                 s._inputs = ()
-                cleanup = s._cleanup
-                if cleanup is not None:
-                    s._cleanup = None
-                    cleanup()
+                if type(it) is GeneratorType and not it.gi_running:
+                    it.close()
         finally:
             while todo:  # a cleanup raised: still stop the rest
                 todo.pop().stop()
@@ -142,7 +143,7 @@ class Source:
             except BaseException:
                 self.stop()
                 raise
-            if x is None:
+            if x is None or self._it is _DONE:
                 self.stop()
                 return
             yield x
@@ -151,7 +152,7 @@ class Source:
 _new = object.__new__
 
 
-def _source(it, inputs=(), cleanup=None):
+def _source(it, inputs=()):
     """A source over ``it`` (no ``None`` in it) owning ``inputs``."""
     depth = 1
     for src in inputs:
@@ -162,7 +163,6 @@ def _source(it, inputs=(), cleanup=None):
     s = _new(Source)
     s._it = it
     s._inputs = inputs
-    s._cleanup = cleanup
     s._depth = depth
     return s
 

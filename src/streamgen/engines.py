@@ -3,11 +3,11 @@
 An engine is a :class:`~streamgen.core.Source` over the iterator that a
 producer (a zero-argument callable, typically a generator function)
 returns when the engine is made; ``next`` is ``ask``.  A generator runs
-only while an ask is in flight.  Stopping the engine closes the
-iterator, running the producer's ``finally`` blocks even mid-stream.
-A producer may stop its own engine: the pull in flight, an ask or an
-owner's, then ends with ``None`` and the iterator is closed once the
-producer has yielded.
+only while an ask is in flight.  The engine's guard closes the producer
+in its ``finally`` however the engine ends: stopped (mid-stream or before
+its first ask), run out or dropped.  A producer may stop its engine or a
+pipeline owning it: the pull in flight then ends with ``None``, and the
+producer is closed once it has yielded.
 """
 
 from functools import partial

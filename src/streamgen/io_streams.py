@@ -25,7 +25,7 @@ def _open(source, read):
     handle = source if hasattr(source, "read") else open(source, "r")
     it = read(handle, handle is not sys.stdin)
     next(it)
-    return _source(it, cleanup=it.close)
+    return _source(it)
 
 
 def _tokens(handle, owned):

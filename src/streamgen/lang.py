@@ -21,7 +21,7 @@ no tree height; more than 1000 open at once (``core._MAX_NESTING``)
 raise ``RecursionError``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 from . import combinators, core
@@ -124,56 +124,101 @@ def tokenize(text):
 
 
 class Expr:
-    """Base class for generator expressions."""
+    """Base class for generator expressions.  Equality, hashing and repr
+    walk the tree with a stack, so any depth works; an ``Embed`` is equal
+    only to itself."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(_preorder(self))
+
+    def __repr__(self):
+        out = []
+        todo = [self]  # text, or a node still to write
+        while todo:
+            e = todo.pop()
+            if isinstance(e, str):
+                out.append(e)
+                continue
+            out.append(type(e).__qualname__ + "(")
+            due = []
+            for f in fields(e):
+                v = getattr(e, f.name)
+                due += ((", " if due else "") + f.name + "=", v if isinstance(v, Expr) else repr(v))
+            todo += (")", *reversed(due))
+        return "".join(out)
+
+
+def _preorder(e):
+    """The tree under ``e`` as one flat tuple: each node's type, then its
+    fields in order, a node field written the same way (an ``Embed`` as
+    itself).  Two trees are equal when their tuples are."""
+    out = []
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if not isinstance(e, Expr) or isinstance(e, Embed):
+            out.append(e)
+            continue
+        out.append(type(e))
+        todo += reversed([getattr(e, f.name) for f in fields(e)])
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prod(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RangeExpr(Expr):
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ListLit(Expr):
     values: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SetOf(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConstLit(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ref(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Embed(Expr):
     """Programmatic escape hatch: splices an existing source (or a
     nullary factory producing one) into an expression tree.  Not
     expressible in the textual grammar."""
 
     source: object
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 # --- parsing -----------------------------------------------------------

@@ -157,7 +157,29 @@ def test_render_deep_left_sum_chain_round_trips():
         e = Sum(e, ConstLit(i))
     text = render_expr(e)
     assert text == "a+" + "+".join(map(str, range(50_000)))
-    assert render_expr(parse_text(text)) == text  # AST == and repr still recurse
+    assert render_expr(parse_text(text)) == text
+
+
+def test_deep_tree_equality_hash_and_repr():
+    text = "+".join(["1"] * 5000)
+    t, same, other = parse_text(text), parse_text(text), parse_text(text[:-1] + "2")
+    assert t == same and hash(t) == hash(same)
+    assert t != other and not t == other
+    assert repr(t) == "Sum(left=" * 4999 + "ConstLit(value=1)" + ", right=ConstLit(value=1))" * 4999
+
+
+def test_expr_equality_hash_and_repr_on_shallow_trees():
+    assert ConstLit(3) == ConstLit(3.0) and hash(ConstLit(3)) == hash(ConstLit(3.0))
+    assert Sum(Ref("a"), ConstLit(1)) != Prod(Ref("a"), ConstLit(1))
+    assert ConstLit(1) != 1 and ListLit((1, "a")) == ListLit((1, "a"))
+    assert repr(parse_text("{[1,a]}*(0:3)+x")) == (
+        "Sum(left=Prod(left=SetOf(body=ListLit(values=(1, 'a'))), "
+        "right=RangeExpr(lo=0, hi=3)), right=Ref(name='x'))"
+    )
+    e = Embed(from_list)
+    assert e == e and e != Embed(from_list) and Sum(e, Ref("a")) == Sum(e, Ref("a"))
+    assert Sum(Embed(from_list), Ref("a")) != Sum(Embed(from_list), Ref("a"))
+    assert repr(e) == "Embed(source=%r)" % (from_list,)
 
 
 def test_render_deep_right_product_set_chain():

@@ -2,6 +2,7 @@
 
 import itertools
 import string
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from conftest import CountedSteps, prefix
 from streamgen import (
     Engine,
     Pair,
+    Source,
     cantor_unpair,
     convolution,
     from_list,
@@ -20,6 +22,7 @@ from streamgen import (
     lazy_list,
     lazy_maplist,
     lazy_take,
+    map1,
     naturals,
     product,
     product_cantor,
@@ -549,3 +552,69 @@ def test_error_totality_on_deep_input(text):
         assert open_depth(text) > 1000
     else:
         assert open_depth(text) <= 1000
+
+
+class ClosingProducer:
+    """A producer's iterator over ``step()`` whose ``close`` calls
+    ``cleanup``: unlike a generator's ``finally``, it runs also when
+    closed before its first step."""
+
+    def __init__(self, step, cleanup):
+        self.step = step
+        self.close = cleanup
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.step()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["step", "engine"]),
+    st.none() | st.integers(0, 4),
+    st.lists(st.sampled_from(["ask", "ask-stopping", "stop", "pull", "stop-owner", "drop-owner"]), max_size=12),
+)
+def test_cleanup_runs_once_and_nothing_arrives_after_done(kind, length, script):
+    """A script of asks, stops (also from inside a step), pulls by an
+    owner and drops: the cleanup has run exactly when the source is done,
+    no element arrives once it is, and dropping it all runs it once."""
+    cleanups = []
+    stop_next = []  # the next step stops its own source first
+    vs = itertools.count(1) if length is None else iter(range(1, length + 1))
+
+    def step():
+        if stop_next:
+            stop_next.clear()
+            me().stop()
+        return next(vs, None)
+
+    def cleanup():
+        cleanups.append("cleanup")
+
+    if kind == "step":
+        src = Source(step, cleanup)
+    else:
+        src = Engine(lambda: ClosingProducer(step, cleanup))
+    me = weakref.ref(src)
+    owner = map1(lambda x: x, src)
+    for op in script:
+        done = src.is_done()
+        x = None
+        if op == "ask-stopping":
+            stop_next.append(True)
+        if op in ("ask", "ask-stopping"):
+            x = src.ask()
+        elif op == "stop":
+            src.stop()
+        elif op == "drop-owner":
+            owner = None
+        elif owner is not None and op == "pull":
+            x = owner.ask()
+        elif owner is not None:
+            owner.stop()
+        assert x is None or not (done or src.is_done())
+        assert cleanups == ["cleanup"] * src.is_done()
+    del src, owner
+    assert cleanups == ["cleanup"]

@@ -202,7 +202,15 @@ def test_nesting_counts_through_every_input():
         sum_streams(naturals(), deep)
 
 
-def test_producer_stopping_the_pipeline_that_owns_it():
+PIPELINES = [pytest.param(layer, 0, id=layer) for layer in sorted(UNARY)] + [
+    pytest.param(layer, side, id="%s-%s" % (layer, ("left", "right")[side]))
+    for layer in sorted(BINARY)
+    for side in (0, 1)
+]
+
+
+@pytest.mark.parametrize("layer, side", PIPELINES)
+def test_producer_stopping_the_pipeline_that_owns_it(layer, side):
     events = []
 
     def produce():
@@ -210,17 +218,22 @@ def test_producer_stopping_the_pipeline_that_owns_it():
             yield 1
             g.stop()
             events.append("after stop")
-            yield 2
-            events.append("resumed")
+            for n in naturals():
+                yield n + 2
+                events.append("resumed")
         finally:
             events.append("cleanup")
 
-    g = take(5, answer_source(produce))
-    assert g.ask() == 1
-    assert g.ask() is None  # the in-flight ask
+    e = answer_source(produce)
+    if layer in UNARY:
+        g = UNARY[layer](e)
+    else:
+        g = BINARY[layer](*([e, from_list([7, 8, 9])] if side == 0 else [from_list([7, 8, 9]), e]))
+    while (x := g.ask()) is not None:  # the in-flight pull ends the loop
+        assert "after stop" not in events, x
     assert events == ["after stop", "cleanup"]
     g.stop()
-    assert g.ask() is None
+    assert g.is_done() and e.is_done() and g.ask() is None
     assert events == ["after stop", "cleanup"]
 
 
@@ -363,3 +376,43 @@ def test_walking_a_lazy_list_frees_the_cells_behind(view):
     pull()
     pull()
     assert first() is None
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["alone", "owned"])
+@pytest.mark.parametrize("asks", [0, 2], ids=["never-asked", "half-read"])
+def test_a_dropped_step_source_runs_its_cleanup_once(asks, owned):
+    cleanups = []
+    src = Source(iter([1, 2, 3, 4]).__next__, lambda: cleanups.append("cleanup"))
+    g = take(9, src) if owned else src
+    del src
+    for _ in range(asks):
+        assert g.ask() is not None
+    assert cleanups == []
+    del g
+    assert cleanups == ["cleanup"]
+
+
+GENERATOR_LAYERS = ["convolution", "product", "product_cantor", "scan", "setify", "sum_streams"]
+
+
+def generator_layer(name):
+    """The layer ``name`` over naturals: a source over a Python generator."""
+    return UNARY[name](naturals()) if name in UNARY else BINARY[name](naturals(), naturals())
+
+
+@pytest.mark.parametrize("inner", GENERATOR_LAYERS)
+def test_an_owned_generator_layer_stopped_directly_ends_its_owner(inner):
+    src = generator_layer(inner)
+    g = take(9, src)
+    assert g.ask() is not None
+    src.stop()
+    assert g.ask() is None and g.is_done()
+
+
+@pytest.mark.parametrize("inner", GENERATOR_LAYERS)
+def test_a_sum_carries_on_past_a_stopped_generator_input(inner):
+    src = generator_layer(inner)
+    g = sum_streams(src, from_list([10, 11, 12]))
+    assert g.ask() is not None and g.ask() == 10
+    src.stop()
+    assert show(5, g) == "[11, 12]"
