@@ -1,5 +1,7 @@
 """The generator-expression language: lexer, operator-precedence parser,
-AST, renderer and evaluator, none of which recurses.
+AST, renderer and evaluator, none of which recurses.  The AST nodes are
+plain slotted classes built positionally.  The evaluator is a fold over
+one post-order walk of the tree, and so are ``==`` and ``hash``.
 
 Grammar (whitespace insignificant):
 
@@ -21,11 +23,10 @@ no tree height; more than 1000 open at once (``core._MAX_NESTING``)
 raise ``RecursionError``.
 """
 
-from dataclasses import dataclass, fields
 from itertools import islice
 
 from . import combinators, core
-from .values import INT_DIGITS, INT_MAX_DIGITS, Value
+from .values import INT_DIGITS, INT_MAX_DIGITS
 
 __all__ = [
     "ConstLit",
@@ -63,11 +64,13 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # INT SYM PLUS STAR COLON LBRACK RBRACK LBRACE RBRACE LPAREN RPAREN COMMA END
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos):
+        self.kind = kind  # INT SYM PLUS STAR COLON LBRACK RBRACK LBRACE RBRACE LPAREN RPAREN COMMA END
+        self.text = text
+        self.pos = pos
 
 
 _PUNCT = {
@@ -124,19 +127,26 @@ def tokenize(text):
 
 
 class Expr:
-    """Base class for generator expressions.  Equality, hashing and repr
-    walk the tree with a stack, so any depth works; an ``Embed`` is equal
-    only to itself."""
+    """Base class for generator expressions: a node's ``__slots__`` are its
+    fields.  Equality, hashing and repr walk the tree with a stack, so any
+    depth works; an ``Embed`` is equal only to itself."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError("%s takes the fields %s, got %d" % (type(self).__name__, names, len(values)))
+        for name, value in zip(names, values):
+            setattr(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return _preorder(self) == _preorder(other)
+        return _key(self) == _key(other)
 
     def __hash__(self):
-        return hash(_preorder(self))
+        return hash(_key(self))
 
     def __repr__(self):
         out = []
@@ -148,77 +158,80 @@ class Expr:
                 continue
             out.append(type(e).__qualname__ + "(")
             due = []
-            for f in fields(e):
-                v = getattr(e, f.name)
-                due += ((", " if due else "") + f.name + "=", v if isinstance(v, Expr) else repr(v))
+            for name in e.__slots__:
+                v = getattr(e, name)
+                due += ((", " if due else "") + name + "=", v if isinstance(v, Expr) else repr(v))
             todo += (")", *reversed(due))
         return "".join(out)
 
 
-def _preorder(e):
-    """The tree under ``e`` as one flat tuple: each node's type, then its
-    fields in order, a node field written the same way (an ``Embed`` as
-    itself).  Two trees are equal when their tuples are."""
-    out = []
-    todo = [e]
-    while todo:
-        e = todo.pop()
-        if not isinstance(e, Expr) or isinstance(e, Embed):
-            out.append(e)
-            continue
-        out.append(type(e))
-        todo += reversed([getattr(e, f.name) for f in fields(e)])
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Prod(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RangeExpr(Expr):
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ListLit(Expr):
-    values: tuple
+    __slots__ = ("values",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SetOf(Expr):
-    body: Expr
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ConstLit(Expr):
-    value: Value
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Ref(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Embed(Expr):
     """Programmatic escape hatch: splices an existing source (or a
     nullary factory producing one) into an expression tree.  Not
     expressible in the textual grammar."""
 
-    source: object
-
+    __slots__ = ("source",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+
+def _postorder(e):
+    """The nodes under ``e``, each after its operands, left to right (the
+    reverse of listing each node before its operands, the right one
+    first).  An operand that is not a node is listed as itself."""
+    out = []
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        out.append(e)
+        if isinstance(e, Sum) or isinstance(e, Prod):
+            todo += (e.left, e.right)
+        elif isinstance(e, SetOf):
+            todo.append(e.body)
+    return out[::-1]
+
+
+def _key(e):
+    """The tree under ``e`` as one flat tuple in post-order: each node's
+    type, after it a leaf's fields; an ``Embed``, or an operand that is
+    not a node, as itself.  Two trees are equal when their keys are."""
+    key = []
+    for e in _postorder(e):
+        if not isinstance(e, Expr) or isinstance(e, Embed):
+            key.append(e)
+        elif isinstance(e, Sum) or isinstance(e, Prod) or isinstance(e, SetOf):
+            key.append(type(e))
+        else:
+            key += (type(e), *[getattr(e, name) for name in e.__slots__])
+    return tuple(key)
 
 
 # --- parsing -----------------------------------------------------------
@@ -371,18 +384,14 @@ def eval_expr(e, env=None):
     source, which is spliced as-is).  A failed build stops what it built."""
     lookup = Env().lookup if env is None else env.lookup
     built = []  # the sources of the subtrees done, leftmost first
-    todo = []  # combinators due, each under the Sum or Prod whose right operand is
     try:
-        while True:
+        for e in _postorder(e):
             if isinstance(e, Sum) or isinstance(e, Prod):
-                todo += (combinators.sum_streams if isinstance(e, Sum) else combinators.product, e)
-                e = e.left
-                continue
-            if isinstance(e, SetOf):
-                todo.append(combinators.setify)
-                e = e.body
-                continue
-            if isinstance(e, Ref):
+                make = combinators.sum_streams if isinstance(e, Sum) else combinators.product
+                built[-2:] = (make(built[-2], built[-1]),)
+            elif isinstance(e, SetOf):
+                built[-1] = combinators.setify(built[-1])
+            elif isinstance(e, Ref):
                 factory = lookup(e.name)
                 built.append(core.constant(e.name) if factory is None else factory())
             elif isinstance(e, ConstLit):
@@ -395,17 +404,7 @@ def eval_expr(e, env=None):
                 built.append(e.source() if callable(e.source) else e.source)
             else:
                 raise TypeError("not a generator expression: %r" % (e,))
-            while todo:
-                make = todo.pop()
-                if isinstance(make, Expr):  # its left operand is built
-                    e = make.right
-                    break
-                if make is combinators.setify:
-                    built[-1] = make(built[-1])
-                else:
-                    built[-2:] = (make(built[-2], built[-1]),)
-            else:
-                return built[0]
+        return built[0]
     except BaseException:
         for source in built:
             source.stop()

@@ -32,7 +32,6 @@ import re
 
 __all__ = [
     "Pair",
-    "Value",
     "is_symbol",
     "render",
     "same_value",
@@ -103,10 +102,6 @@ class Pair:
 
     def __str__(self):
         return render(self)
-
-
-# For annotation purposes only; at runtime a Value is int | float | str | Pair.
-Value = object
 
 
 def value_key(v):

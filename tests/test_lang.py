@@ -11,6 +11,7 @@ from streamgen import (
     eval_expr,
     eval_text,
     from_list,
+    naturals,
     parse_text,
     render,
     token_reader,
@@ -139,6 +140,49 @@ def test_embed_factory_is_fresh():
     expr = Embed(lambda: from_list([1, 2]))
     assert list(eval_expr(expr)) == [1, 2]
     assert list(eval_expr(expr)) == [1, 2]
+
+
+def test_eval_calls_factories_left_to_right():
+    calls = []
+
+    def logged(name):
+        def factory():
+            calls.append(name)
+            return naturals()
+        return factory
+
+    source = eval_expr(parse_text("a*{b}+c*(d+e)"), Env({n: logged(n) for n in "abcde"}))
+    source.stop()
+    assert calls == ["a", "b", "c", "d", "e"]
+
+
+def test_eval_rejects_a_non_expression_and_stops_what_it_built():
+    with pytest.raises(TypeError, match="not a generator expression"):
+        eval_expr(5)
+    built = []
+
+    def factory():
+        built.append(naturals())
+        return built[-1]
+
+    with pytest.raises(TypeError, match="not a generator expression"):
+        eval_expr(Sum(Ref("a"), 5), Env({"a": factory}))
+    assert len(built) == 1 and built[0].ask() is None
+
+
+@pytest.mark.parametrize("node", [Sum, Prod, RangeExpr, ListLit, SetOf, ConstLit, Ref, Embed])
+def test_node_with_the_wrong_number_of_fields_raises(node):
+    arity = 2 if node in (Sum, Prod, RangeExpr) else 1
+    for n in (arity - 1, arity + 1):
+        with pytest.raises(TypeError):
+            node(*[Ref("a")] * n)
+
+
+def test_non_node_operand_compares_hashes_and_prints_as_a_value():
+    e = Sum(Ref("a"), 5)
+    assert e == Sum(Ref("a"), 5) and hash(e) == hash(Sum(Ref("a"), 5))
+    assert e != Sum(Ref("a"), 6) and e != Sum(Ref("a"), ConstLit(5))
+    assert repr(e) == "Sum(left=Ref(name='a'), right=5)"
 
 
 def test_eval_text_propagates_errors():

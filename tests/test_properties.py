@@ -363,6 +363,36 @@ def test_parse_render_stability(e):
     assert parse_text(render_expr(e)) == e
 
 
+FIELDS = {
+    Sum: ("left", "right"),
+    Prod: ("left", "right"),
+    SetOf: ("body",),
+    RangeExpr: ("lo", "hi"),
+    ListLit: ("values",),
+    ConstLit: ("value",),
+    Ref: ("name",),
+}
+
+
+def same_tree(a, b):
+    """Structural equality by recursion: the same node type and pairwise
+    equal fields, Python's ``==`` on anything that is not a node."""
+    if type(a) not in FIELDS and type(b) not in FIELDS:
+        return a == b
+    return type(a) is type(b) and all(
+        same_tree(getattr(a, f), getattr(b, f)) for f in FIELDS[type(a)]
+    )
+
+
+@given(exprs, exprs)
+def test_expr_equality_and_hash_match_structural_reference(e1, e2):
+    back = parse_text(render_expr(e1))
+    assert same_tree(e1, back) and e1 == back and hash(e1) == hash(back)
+    assert (e1 == e2) == same_tree(e1, e2) == (not e1 != e2)
+    if e1 == e2:
+        assert hash(e1) == hash(e2)
+
+
 class ReferenceParser:
     """The grammar by recursive descent, one method per rule: the parser
     as written before it became one precedence loop."""

@@ -1,8 +1,12 @@
 """Static checks on the source: no function of ``lang`` or ``values``
 recurses, directly or through other functions of its module, so no
-input depth reaches Python's recursion limit there."""
+input depth reaches Python's recursion limit there; and importing the
+package and its CLI pulls in no class-generation machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -78,3 +82,13 @@ def flat():
         with pytest.raises(CycleError):
             TopologicalSorter({k: graph[k] for k in names}).prepare()
     assert graph["flat"] == set()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(streamgen.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, streamgen, streamgen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
