@@ -1,15 +1,18 @@
 """Memoized, possibly infinite cons-lists and their isomorphism with
 stream sources.
 
-A :class:`LazyList` cell is Nil or (head, tail) in one object: its
-list's iterator until forced, then its head and next cell (``None`` for
-Nil).  Only the last cell of a list can be unforced, so all of its cells
-share one iterator: forcing a cell pulls it once, memoizes the value and
-the next cell (or Nil at the iterator's end) and lets go of it.  So
-content is computed at most once ever, and all holders of a cell observe
-the same content.  A value may be ``None``, unlike in a source.  Holding
-an early cell pins every forced cell reachable from it, so drop the
-head when streaming through long lists.
+A :class:`LazyList` cell is Nil or (head, tail) in one object of two
+slots, 48 bytes on 64-bit CPython: until forced, a private marker and
+its list's iterator; then its head and next cell; Nil has the tail
+``None``.  Only the last cell of a list can be unforced, so all of its
+cells share one iterator: forcing a cell pulls it once, memoizes the
+value and the next cell (or Nil at the iterator's end) and lets go of
+it.  So content is computed at most once ever, and all holders of a
+cell observe the same content.  A value may be ``None``, unlike in a
+source.  Holding an early cell pins every forced cell reachable from it,
+so drop the head when streaming through long lists; the walks
+(``lazy_take``, iteration, ``lazy2gen``, the maps and sums) hold no cell
+behind the one they are at.
 """
 
 from itertools import count, islice
@@ -18,6 +21,8 @@ from operator import itemgetter
 from . import core
 from .combinators import _interleave
 from .core import _END, _new, _until_none
+
+_OPEN = object()  # the head of an unforced cell, whose tail is the iterator
 
 __all__ = [
     "LazyList",
@@ -41,7 +46,7 @@ class LazyList:
     """A shared, memoized cons cell over its list's iterator; made
     directly, it unfolds ``step(state) -> (new_state, value) | None``."""
 
-    __slots__ = ("_it", "_head", "_tail")
+    __slots__ = ("_head", "_tail")
 
     def __init__(self, step, state):
         def advance():
@@ -51,44 +56,47 @@ class LazyList:
                 state, _ = out
             return out
 
+        self._head = _OPEN
         # Live after a raising ``step`` (the cell can be forced again);
         # the None test sees ``step``'s result, never a value.
-        self._it = map(itemgetter(1), iter(advance, None))
+        self._tail = map(itemgetter(1), iter(advance, None))
 
     def force(self):
         """Return ``None`` for Nil or a new ``(head, tail)`` pair, pulling
         the list's iterator on first use.  If the pull raises, the cell
         stays unforced; a retry pulls again (a spent generator: Nil)."""
-        it = self._it
-        if it is not None:
+        x = self._head
+        if x is _OPEN:
+            it = self._tail
             x = next(it, _END)
             if x is _END:
-                self._tail = None
-            else:
-                tail = _new(LazyList)
-                tail._it = it
-                self._head = x
-                self._tail = tail
-            self._it = None
+                self._head = self._tail = None
+                return None
+            tail = _new(LazyList)
+            tail._head = _OPEN
+            tail._tail = it
+            self._head = x
+            self._tail = tail
+            return (x, tail)
         tail = self._tail
-        return None if tail is None else (self._head, tail)
+        return None if tail is None else (x, tail)
 
     def head(self):
-        if self._it is not None:
+        if self._head is _OPEN:
             self.force()
         if self._tail is None:
             raise IndexError("head of empty lazy list")
         return self._head
 
     def tail(self):
-        if self._it is not None:
+        if self._head is _OPEN:
             self.force()
         if self._tail is None:
             raise IndexError("tail of empty lazy list")
         return self._tail
 
     def is_nil(self):
-        if self._it is not None:
+        if self._head is _OPEN:
             self.force()
         return self._tail is None
 
@@ -99,7 +107,8 @@ class LazyList:
 def _lazy(it):
     """The lazy list of the values of ``it``: an unforced cell over it."""
     cell = _new(LazyList)
-    cell._it = it
+    cell._head = _OPEN
+    cell._tail = it
     return cell
 
 
@@ -107,21 +116,20 @@ def _cells(lst):
     """The values of ``lst``, forcing cells as ``force`` does; it holds
     no cell behind the current one."""
     while True:
-        it = lst._it
-        if it is not None:
+        x = lst._head
+        if x is _OPEN:
+            it = lst._tail
             x = next(it, _END)
             if x is _END:
-                lst._it = lst._tail = None
+                lst._head = lst._tail = None
                 return
             tail = _new(LazyList)
-            tail._it = it
+            tail._head = _OPEN
+            tail._tail = it
             lst._head = x
             lst._tail = tail
-            lst._it = None
         elif (tail := lst._tail) is None:
             return
-        else:
-            x = lst._head
         lst = tail
         yield x
 
@@ -149,7 +157,9 @@ def lazy_take(n, lst):
     """The first min(n, length) elements as a plain list; forces no cell
     beyond the requested prefix.  ``n`` is an int; a negative one takes
     nothing."""
-    return list(islice(_cells(lst), core._count(n)))
+    cells = _cells(lst)
+    del lst  # the walk alone holds the list, so it frees what it passes
+    return list(islice(cells, core._count(n)))
 
 
 def gen2lazy(source):

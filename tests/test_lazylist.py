@@ -316,3 +316,33 @@ def test_a_forced_cell_retains_under_100_bytes():
         tracemalloc.stop()
     assert head.tail().head() == 10**6 + 1
     assert (after - before) / n < 100
+
+
+def test_a_forced_cell_retains_under_80_bytes():
+    """A forced cell is two slots: 48 bytes, and 28 for its int value."""
+    n = 10**5
+    tracemalloc.start()
+    try:
+        head = lazy_nats_from(10**6)
+        before = tracemalloc.get_traced_memory()[0]
+        lazy_take(n, head)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert head.tail().head() == 10**6 + 1
+    assert (after - before) / n < 80
+
+
+@pytest.mark.parametrize("view", [lambda lst: lst, lambda lst: lazy_maplist(lambda x: x, lst)],
+                         ids=["bare", "lazy_maplist"])
+def test_lazy_take_frees_the_cells_it_has_passed(view):
+    """With no other holder of the list, ``lazy_take`` holds only its
+    result and the cell it is at, not every cell it has forced."""
+    tracemalloc.start()
+    try:
+        out = lazy_take(10**5, view(lazy_nats_from(10**6)))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == list(range(10**6, 10**6 + 10**5))
+    assert peak - current < 64 * 1024

@@ -12,6 +12,7 @@ from streamgen import (
     Engine,
     Pair,
     Source,
+    cantor_pair,
     cantor_unpair,
     convolution,
     from_list,
@@ -157,6 +158,25 @@ def test_diagonal_products_ask_at_most_diagonal_plus_one(make, n1, n2, k):
             break
         d = p.left + p.right
         assert c1.asks <= d + 1 and c2.asks <= d + 1
+
+
+def product_position(i, j):
+    """Where ``product`` of two infinite inputs emits ``(i, j)``: shell
+    ``max(i, j)`` after the smaller shells; in it column ``j``'s pairs
+    ``(0, j)``, ``(1, j)``, ... come first, then row ``i``'s from
+    ``(i, i - 1)`` down to ``(i, 0)``."""
+    return i * i + i - 1 - j if j < i else j * j + 2 * j - i
+
+
+@settings(deadline=None)
+@given(st.sampled_from([
+    (product_cantor, cantor_pair),
+    (convolution, lambda i, j: (i + j) * (i + j + 1) // 2 + i),
+    (product, product_position),
+]), st.integers(0, 59), st.integers(0, 59))
+def test_fair_products_emit_each_pair_at_its_closed_form_position(make_position, i, j):
+    make, position = make_position
+    assert drop(position(i, j), make(naturals(), naturals())).ask() == Pair(i, j)
 
 
 @given(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4),
@@ -337,6 +357,125 @@ def test_lazy_list_laws_under_random_scripts(vs, fails, script):
         except RuntimeError:
             raised += 1
     assert calls[0] == len(vs) + 1 + raised
+
+
+MEMO_OPS = ("head", "tail", "is_nil", "force", "iter", "next", "lazy_take", "ask")
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=12),
+    st.booleans(),
+    st.integers(0, 13),
+    st.lists(st.tuples(st.sampled_from(MEMO_OPS), st.integers(0, 7), st.integers(0, 14)),
+             max_size=30),
+)
+def test_lazy_list_memo_model(vs, from_source, fail_at, script):
+    """Several holders of one list -- cells, and walks suspended over them
+    -- run a random script, each read checked against the plain list
+    ``vs`` and a cursor per holder.  The list is ``gen2lazy`` over a
+    counting source, or a ``lazy_list`` (0 read as ``None``) whose first
+    pull at ``fail_at`` raises.  Each cell, Nil included, is pulled once
+    plus once per raise, so a cell whose pull raised stays unforced and
+    the next read pulls it again; every holder at a position holds the
+    same cell."""
+    calls = [0]
+    if from_source:
+        to_fail = set()
+
+        def pull():
+            i = calls[0]
+            calls[0] += 1
+            return vs[i] if i < len(vs) else None
+
+        root = gen2lazy(Source(pull))
+    else:
+        vs = [None if v == 0 else v for v in vs]
+        to_fail = {fail_at}
+
+        def step(i):
+            calls[0] += 1
+            if i in to_fail:
+                to_fail.discard(i)
+                raise RuntimeError(i)
+            return (i + 1, vs[i]) if i < len(vs) else None
+
+        root = lazy_list(step, 0)
+    n = len(vs)
+    seen = {0: root}  # the cell at each position reached so far
+    cells = [[root, 0] for _ in range(3)]  # [cell, position] per holder
+    walks = []  # [iterator, position, or None once it has ended]
+
+    def same_cell(pos, cell):
+        return seen.setdefault(pos, cell) is cell
+
+    def run(op, holder, k):
+        cell, pos = holder
+        if op in ("head", "tail") and pos == n:
+            with pytest.raises(IndexError):
+                getattr(cell, op)()
+        elif op == "head":
+            assert cell.head() == vs[pos]
+        elif op == "tail":
+            nxt = cell.tail()
+            assert same_cell(pos + 1, nxt)
+            holder[:] = nxt, pos + 1
+        elif op == "is_nil":
+            assert cell.is_nil() == (pos == n)
+        elif op == "force":
+            got = cell.force()
+            if pos == n:
+                assert got is None
+            else:
+                assert got[0] == vs[pos] and same_cell(pos + 1, got[1])
+        elif op == "iter":
+            walks.append([iter(cell), pos])
+        elif op == "next":
+            if pos is not None and pos < n:
+                assert next(cell) == vs[pos]
+                holder[1] = pos + 1
+            else:
+                holder[1] = None
+                with pytest.raises(StopIteration):
+                    next(cell)
+        elif op == "lazy_take":
+            assert lazy_take(k, cell) == vs[pos:pos + k]
+        else:
+            assert lazy2gen(cell).ask() == (vs[pos] if pos < n else None)
+
+    pending = set(to_fail)  # the model of ``to_fail``
+    raised = forced = 0  # raises, cells forced
+    for op, h, k in script:
+        holders = walks if op == "next" else cells
+        if not holders:
+            continue
+        holder = holders[h % len(holders)]
+        pos = holder[1]
+        if op == "iter" or pos is None:
+            reach = 0
+        elif op == "lazy_take":
+            reach = min(pos + k, n + 1)
+        else:
+            reach = pos + 1
+        failing = [p for p in pending if p < reach]
+        if failing:
+            with pytest.raises(RuntimeError):
+                run(op, holder, k)
+            pending.discard(min(failing))
+            raised += 1
+            forced = max(forced, min(failing))
+            if op == "next":
+                holder[1] = None  # a walk that raised has ended
+        else:
+            run(op, holder, k)
+            forced = max(forced, reach)
+        assert calls[0] == forced + raised
+    while True:  # a cell whose pull raised can be forced again
+        try:
+            assert list(root) == vs
+            break
+        except RuntimeError:
+            raised += 1
+    assert calls[0] == n + 1 + raised
 
 
 # --- expression language ----------------------------------------------
