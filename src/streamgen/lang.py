@@ -128,11 +128,17 @@ def tokenize(text):
 
 class Expr:
     """Base class for generator expressions: a node's ``__slots__`` are its
-    fields, which its ``__init__`` takes in that order.  Equality, hashing
-    and repr walk the tree with a stack, so any depth works; an ``Embed``
-    is equal only to itself."""
+    fields.  Equality, hashing and repr walk the tree with a stack, so any
+    depth works; an ``Embed`` is equal only to itself."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError("%s takes the fields %s, got %d" % (type(self).__name__, names, len(values)))
+        for name, value in zip(names, values):
+            setattr(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -162,53 +168,29 @@ class Expr:
 class Sum(Expr):
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
 
 class Prod(Expr):
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
 
 
 class RangeExpr(Expr):
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
 
 class ListLit(Expr):
     __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values
 
 
 class SetOf(Expr):
     __slots__ = ("body",)
 
-    def __init__(self, body):
-        self.body = body
-
 
 class ConstLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        self.value = value
-
 
 class Ref(Expr):
     __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
 
 
 class Embed(Expr):
@@ -219,9 +201,6 @@ class Embed(Expr):
     __slots__ = ("source",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, source):
-        self.source = source
 
 
 def _postorder(e):

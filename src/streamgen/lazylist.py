@@ -158,7 +158,9 @@ def lazy_take(n, lst):
     beyond the requested prefix.  ``n`` is an int; a negative one takes
     nothing."""
     cells = _cells(lst)
-    del lst  # the walk alone holds the list, so it frees what it passes
+    # On 3.11+ the frame owns its argument, so after this the walk is the
+    # only holder of a list the caller did not keep.
+    del lst
     return list(islice(cells, core._count(n)))
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import count
 
@@ -333,6 +334,9 @@ def test_a_forced_cell_retains_under_80_bytes():
     assert (after - before) / n < 80
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's value stack keeps each argument "
+                           "until the call returns, so the list's head stays held")
 @pytest.mark.parametrize("view", [lambda lst: lst, lambda lst: lazy_maplist(lambda x: x, lst)],
                          ids=["bare", "lazy_maplist"])
 def test_lazy_take_frees_the_cells_it_has_passed(view):
