@@ -12,6 +12,7 @@ fixed pair appears after finitely many outputs.
 """
 
 import math
+import sys
 from functools import reduce
 
 from .core import _END, _own, _source, _until_none
@@ -85,66 +86,44 @@ def product(g1, g2):
     return _binary(_alternating, g1, g2)
 
 
-class _Buffer:
-    """Growable prefix of an iterator, with its length once exhausted."""
-
-    __slots__ = ("items", "it", "length")
-
-    def __init__(self, it):
-        self.items = []
-        self.it = it
-        self.length = None
-
-    def get(self, i):
-        """Element at index i, or None past the end of a finite stream."""
-        items = self.items
-        while i >= len(items):
-            if self.length is not None:
-                return None
-            x = next(self.it, None)
-            if x is None:
-                self.length = len(items)
-                return None
-            items.append(x)
-        return items[i]
-
-
-def _span(d, b1, b2):
-    """Range [lo, hi] of g1 indices i on diagonal d whose pair
-    (i, d-i) lies within both inputs' known lengths."""
-    lo = 0 if b2.length is None else max(0, d - b2.length + 1)
-    hi = d if b1.length is None else min(d, b1.length - 1)
-    return lo, hi
-
-
 def _diagonals(g1, g2, descending):
     """Pairs (g1[i], g2[d-i]) of two iterators, anti-diagonal by
     anti-diagonal, d = 0, 1, ...; within a diagonal i ascends, or
     descends if ``descending``.
 
-    Known lengths clamp i, so indices past a finite input's end are never
-    visited, and a lookup that runs an input out re-clamps at once.  The
-    stream ends at the first empty diagonal: with lengths n1 and n2 that
-    is diagonal n1+n2-1, and at once if either is empty.
+    ``xs`` and ``ys`` hold each input's prefix, and known lengths clamp
+    i, so indices past a finite input's end are never visited.  An
+    input's only new index on a diagonal sits at one end of the walk
+    (g1's at i = d, g2's at i = 0), so an input that runs out there
+    skips just that pair.  The stream ends at the first empty diagonal:
+    with lengths n1 and n2 that is diagonal n1+n2-1, and at once if
+    either is empty.
     """
-    b1, b2 = _Buffer(g1), _Buffer(g2)
-    step = -1 if descending else 1
+    xs, ys = [], []
+    n1 = n2 = sys.maxsize  # each input's length, once it has run out
     d = 0
     while True:
-        lo, hi = _span(d, b1, b2)
+        lo, hi = max(0, d - n2 + 1), min(d, n1 - 1)
         if lo > hi:
             return
-        i = hi if descending else lo
-        while lo <= i <= hi:
-            x = b1.get(i)
-            y = None if x is None else b2.get(d - i)
-            if y is None:
-                # an input just ran out, which moved a bound past i
-                lo, hi = _span(d, b1, b2)
-                i = min(i, hi) if descending else max(i, lo)
-                continue
+        for i in range(hi, lo - 1, -1) if descending else range(lo, hi + 1):
+            if i < len(xs):
+                x = xs[i]
+            else:
+                x = next(g1, None)
+                if x is None:
+                    n1 = i
+                    continue
+                xs.append(x)
+            if d - i < len(ys):
+                y = ys[d - i]
+            else:
+                y = next(g2, None)
+                if y is None:
+                    n2 = d - i
+                    continue
+                ys.append(y)
             yield Pair(x, y)
-            i += step
         d += 1
 
 

@@ -305,20 +305,6 @@ def test_sum_alt_stop_closes_held_token_readers_once(asks):
     assert [f.close_calls for f in files] == [1, 1]
 
 
-def test_a_forced_cell_retains_under_100_bytes():
-    n = 10**5
-    tracemalloc.start()
-    try:
-        head = lazy_nats_from(10**6)
-        before = tracemalloc.get_traced_memory()[0]
-        lazy_take(n, head)
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert head.tail().head() == 10**6 + 1
-    assert (after - before) / n < 100
-
-
 def test_a_forced_cell_retains_under_80_bytes():
     """A forced cell is two slots: 48 bytes, and 28 for its int value."""
     n = 10**5

@@ -160,6 +160,93 @@ def test_diagonal_products_ask_at_most_diagonal_plus_one(make, n1, n2, k):
         assert c1.asks <= d + 1 and c2.asks <= d + 1
 
 
+class _Buffer:
+    """Reference: the prefix buffer the diagonal products used before
+    they kept plain lists."""
+
+    __slots__ = ("items", "it", "length")
+
+    def __init__(self, it):
+        self.items = []
+        self.it = it
+        self.length = None
+
+    def get(self, i):
+        items = self.items
+        while i >= len(items):
+            if self.length is not None:
+                return None
+            x = next(self.it, None)
+            if x is None:
+                self.length = len(items)
+                return None
+            items.append(x)
+        return items[i]
+
+
+def _span(d, b1, b2):
+    lo = 0 if b2.length is None else max(0, d - b2.length + 1)
+    hi = d if b1.length is None else min(d, b1.length - 1)
+    return lo, hi
+
+
+def reference_diagonals(g1, g2, descending):
+    """The diagonal walk the products used before, which re-clamped its
+    bounds after each run-out."""
+    b1, b2 = _Buffer(g1), _Buffer(g2)
+    step = -1 if descending else 1
+    d = 0
+    while True:
+        lo, hi = _span(d, b1, b2)
+        if lo > hi:
+            return
+        i = hi if descending else lo
+        while lo <= i <= hi:
+            x = b1.get(i)
+            y = None if x is None else b2.get(d - i)
+            if y is None:
+                lo, hi = _span(d, b1, b2)
+                i = min(i, hi) if descending else max(i, lo)
+                continue
+            yield Pair(x, y)
+            i += step
+        d += 1
+
+
+def logged_step(n, side, log):
+    """A step over 0, 1, ... (n of them; None: infinite) that logs each
+    pull as ``(side, value)``, the end as ``(side, None)``."""
+    it = itertools.count() if n is None else iter(range(n))
+
+    def step():
+        x = next(it, None)
+        log.append((side, x))
+        return x
+
+    return step
+
+
+def pull_log(pairs_of, n1, n2, k):
+    """The interleaved log of input pulls, input ends and the first k
+    pairs of ``pairs_of(step1, step2)``."""
+    log = []
+    pairs = pairs_of(logged_step(n1, 1, log), logged_step(n2, 2, log))
+    for p in itertools.islice(pairs, k):
+        log.append((p.left, p.right))
+    return log
+
+
+@given(st.sampled_from([convolution, product_cantor]), lengths, lengths,
+       st.integers(0, 200))
+def test_diagonal_products_pull_exactly_as_the_reference(make, n1, n2, k):
+    descending = make is product_cantor
+    library = pull_log(lambda s1, s2: make(Source(s1), Source(s2)), n1, n2, k)
+    reference = pull_log(
+        lambda s1, s2: reference_diagonals(iter(s1, None), iter(s2, None), descending),
+        n1, n2, k)
+    assert library == reference
+
+
 def product_position(i, j):
     """Where ``product`` of two infinite inputs emits ``(i, j)``: shell
     ``max(i, j)`` after the smaller shells; in it column ``j``'s pairs
