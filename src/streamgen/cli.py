@@ -11,6 +11,7 @@ import functools
 import sys
 import time
 import tracemalloc
+from itertools import islice
 
 from . import combinators, core, lang, lazylist
 from .values import render
@@ -138,19 +139,11 @@ def _bench_lazylist(op, n):
         )
     else:
         raise ValueError(op)
-    acc = 0
-    count = 0
-    cell = lst.force()
+    values = islice(lst, n)
     del lst  # do not pin the prefix
-    while cell is not None and count < n:
-        value, rest = cell
-        if op == "prod_prefix":
-            acc += 3 * value.left + value.right
-        else:
-            acc += value
-        count += 1
-        cell = rest.force()
-    return acc
+    if op == "prod_prefix":
+        return sum(3 * p.left + p.right for p in values)
+    return sum(values)
 
 
 _BENCH_RUNNERS = {"generator": _bench_generator, "lazylist": _bench_lazylist}

@@ -33,7 +33,7 @@ import random
 import sys
 import weakref
 from functools import partial
-from itertools import count, cycle, islice, repeat, takewhile
+from itertools import count, cycle, islice, repeat, starmap, takewhile
 from types import GeneratorType
 
 from .values import render
@@ -65,23 +65,20 @@ _END = object()  # the end of an iterator that may yield None (a lazy list's)
 _until_none = partial(takewhile, partial(operator.is_not, None))
 
 
-def _guarded(ref, step, cleanup):
-    """The results of ``step()`` up to ``None``, for the source ``ref()``.
+def _guarded(ref, it, cleanup):
+    """The values of ``it`` up to ``None``, for the source ``ref()``.
     Primed to its bare ``yield``, its ``finally`` runs ``cleanup`` however
-    it ends, also closed or dropped unasked.  It holds the source only
-    while ``step`` runs, so a dropped source is freed at once."""
+    it ends, also closed or dropped unasked.  It holds no reference to
+    the source between pulls, so a dropped source is freed at once."""
     try:
         yield
-        while (src := ref()) is not None:
-            try:
-                x = step()
-            except StopIteration:  # as from ``next(it)``: the end, as for iter()
-                x = None
-            if x is None or src._it is _DONE:
-                src.stop()  # done also when an owner pulled it
-                return
+        for x in it:
+            if x is None or (src := ref()) is None or src._it is _DONE:
+                break
             src = None
             yield x
+        if (src := ref()) is not None:
+            src.stop()  # done also when an owner pulled it
     finally:
         if cleanup is not None:
             cleanup()
@@ -91,14 +88,19 @@ class Source:
     """A stateful, single-consumer stream of values.
 
     ``Source(step, cleanup)`` streams the results of ``step()`` up to its
-    first ``None``; ``cleanup()`` runs once, when the source is stopped,
-    runs out or is dropped.  Iterating a source consumes it.
+    first ``None``, or until ``step`` raises ``StopIteration``;
+    ``cleanup()`` runs once, when the source is stopped, runs out or is
+    dropped.  Iterating a source consumes it.
     """
 
     __slots__ = ("_it", "_inputs", "_depth", "__weakref__")
 
     def __init__(self, step, cleanup=None):
-        self._it = it = _guarded(weakref.ref(self), step, cleanup)
+        self._guard(starmap(step, repeat(())), cleanup)
+
+    def _guard(self, it, cleanup):
+        """Make this a source over the values of ``it``, behind the guard."""
+        self._it = it = _guarded(weakref.ref(self), it, cleanup)
         next(it)
         self._inputs = ()
         self._depth = 1

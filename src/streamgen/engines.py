@@ -2,15 +2,13 @@
 
 An engine is a :class:`~streamgen.core.Source` over the iterator that a
 producer (a zero-argument callable, typically a generator function)
-returns when the engine is made; ``next`` is ``ask``.  A generator runs
-only while an ask is in flight.  The engine's guard closes the producer
-in its ``finally`` however the engine ends: stopped (mid-stream or before
-its first ask), run out or dropped.  A producer may stop its engine or a
-pipeline owning it: the pull in flight then ends with ``None``, and the
-producer is closed once it has yielded.
+returns when the engine is made; ``next`` is ``ask``.  The source's guard
+iterates that iterator itself, so a generator runs only while an ask is
+in flight, and closes it in its ``finally`` however the engine ends:
+stopped (mid-stream or before its first ask), run out or dropped.  A
+producer may stop its engine or a pipeline owning it: the pull in flight
+then ends with ``None``, and the producer is closed once it has yielded.
 """
-
-from functools import partial
 
 from .core import Source
 
@@ -35,7 +33,7 @@ class Engine(Source):
 
     def __init__(self, producer):
         it = iter(producer())
-        super().__init__(partial(next, it, None), getattr(it, "close", None))
+        self._guard(it, getattr(it, "close", None))
 
     next = Source.ask
 

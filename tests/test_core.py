@@ -176,10 +176,36 @@ def test_step_error_is_sticky():
     assert state["n"] == 2
 
 
-def test_a_step_source_run_out_under_an_owner_is_cleaned_up_at_once():
-    events = []
+def two_steps(events):
     steps = iter([1, 2])
-    src = Source(lambda: next(steps, None), lambda: events.append("cleanup"))
+    return Source(lambda: next(steps, None), lambda: events.append("cleanup"))
+
+
+class TwoAnswers:
+    """A producer's iterator over 1, 2 that logs each ``close()`` call."""
+
+    def __init__(self, events):
+        self.answers = iter([1, 2])
+        self.events = events
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self.answers)
+
+    def close(self):
+        self.events.append("cleanup")
+
+
+def two_answers(events):
+    return answer_source(lambda: TwoAnswers(events))
+
+
+@pytest.mark.parametrize("make", [two_steps, two_answers], ids=["step", "engine"])
+def test_a_step_source_run_out_under_an_owner_is_cleaned_up_at_once(make):
+    events = []
+    src = make(events)
     g = sum_streams(src, naturals())
     assert show(6, g) == "[1, 0, 2, 1, 2, 3]"
     assert src.is_done() and events == ["cleanup"]

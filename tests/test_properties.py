@@ -1,8 +1,11 @@
 """Property-based checks of the algebraic laws and protocol invariants."""
 
+import importlib.util
+import io
 import itertools
 import string
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,8 @@ from streamgen import (
     Engine,
     Pair,
     Source,
+    and_nats,
+    answer_source,
     cantor_pair,
     cantor_unpair,
     convolution,
@@ -32,10 +37,12 @@ from streamgen import (
     setify,
     sum_streams,
     take,
+    token_reader,
     value_key,
 )
 from streamgen.lang import (
     ConstLit,
+    Embed,
     ListLit,
     ParseError,
     LexError,
@@ -44,6 +51,7 @@ from streamgen.lang import (
     Ref,
     SetOf,
     Sum,
+    default_env,
     eval_expr,
     parse_text,
     render_expr,
@@ -761,6 +769,75 @@ def test_sum_evaluation_homomorphism(e):
         50, sum_streams(eval_expr(e.left), eval_expr(e.right))
     )
     assert [value_key(v) for v in direct] == [value_key(v) for v in composed]
+
+
+def load_oracles():
+    """``perfbench/oracles.py``, the benchmark's plain-Python semantics."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = load_oracles()
+
+
+def leaf_tree(e):
+    """The oracle's tuple tree of a textual leaf."""
+    if isinstance(e, ConstLit):
+        return ("const", e.value)
+    if isinstance(e, Ref):
+        return ("ref", e.name)
+    if isinstance(e, RangeExpr):
+        return ("range", e.lo, e.hi)
+    return ("list", list(e.values))
+
+
+def words(vs):
+    return io.StringIO(" ".join(map(str, vs)))
+
+
+scalar_lists = st.lists(scalars, max_size=4)
+denoted_leaves = st.one_of(
+    expr_leaves.map(lambda e: (e, leaf_tree(e))),
+    st.sampled_from(["nat", "pos", "neg", "rand"]).map(lambda n: (Ref(n), ("ref", n))),
+    scalar_lists.map(lambda vs: (Embed(lambda: answer_source(lambda: vs)), ("list", vs))),
+    scalar_lists.map(lambda vs: (Embed(lambda: token_reader(words(vs))), ("list", vs))),
+    st.builds(lambda: (Embed(lambda: answer_source(and_nats())), ("ref", "nat"))),
+)
+# Expressions paired with the oracle's tree of the same stream.
+denoted_exprs = st.recursive(
+    denoted_leaves,
+    lambda children: st.one_of(
+        st.builds(lambda a, b: (Sum(a[0], b[0]), ("sum", a[1], b[1])), children, children),
+        st.builds(lambda a, b: (Prod(a[0], b[0]), ("prod", a[1], b[1])), children, children),
+        children.map(lambda a: (SetOf(a[0]), ("set", a[1]))),
+    ),
+    max_leaves=8,
+)
+
+
+def as_tuples(v):
+    """A value with each ``Pair`` as the oracle's 2-tuple."""
+    if isinstance(v, Pair):
+        return (as_tuples(v.left), as_tuples(v.right))
+    return v
+
+
+# The reference builds about budget**2 / 2 pairs before it gives up on a
+# tree such as {1*1}, so the budget stays small.
+@settings(max_examples=200, deadline=None)
+@given(denoted_exprs, st.integers(1, 40))
+def test_evaluation_matches_the_reference_semantics(denoted, n):
+    e, tree = denoted
+    want = oracles.tree_prefix(tree, n, 42, budget=1000)
+    if want is None:  # the reference needs more than its budget
+        return
+    source = eval_expr(e, default_env(42))
+    got = [as_tuples(v) for v in prefix(n, source)]
+    source.stop()
+    assert list(map(oracles.key, got)) == list(map(oracles.key, want))
 
 
 @settings(max_examples=300)

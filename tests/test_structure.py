@@ -85,10 +85,11 @@ def flat():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # Without ``site`` and with only the package on the path: a ``.pth``
+    # file may import either module before streamgen is imported.
     src = str(Path(streamgen.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, streamgen, streamgen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
